@@ -122,14 +122,14 @@ mod tests {
     use super::*;
     use ndp_pe::oracle::FilterRule;
     use ndp_workload::spec::paper_lanes;
-    use nkv::ExecMode;
+    use nkv::Backend;
 
     #[test]
     fn tiny_dataset_builds_and_scans() {
         let mut ds = build_db(1.0 / 4096.0, DbKind::Ours);
         assert!(ds.cfg.papers > 500);
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 2000 }];
-        let s = ds.db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        let s = ds.db.scan("papers", &rules, Backend::Hardware).unwrap();
         let expected = PaperGen::new(ds.cfg).filter(|p| p.year >= 2000).count() as u64;
         assert_eq!(s.count, expected);
     }
@@ -139,8 +139,8 @@ mod tests {
         let mut a = build_db(1.0 / 8192.0, DbKind::Ours);
         let mut b = build_db(1.0 / 8192.0, DbKind::Baseline);
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 1990 }];
-        let ra = a.db.scan("papers", &rules, ExecMode::Software).unwrap();
-        let rb = b.db.scan("papers", &rules, ExecMode::Software).unwrap();
+        let ra = a.db.scan("papers", &rules, Backend::Software).unwrap();
+        let rb = b.db.scan("papers", &rules, Backend::Software).unwrap();
         assert_eq!(ra.records, rb.records);
     }
 
@@ -154,7 +154,7 @@ mod tests {
             .scan(
                 "refs",
                 &[FilterRule { lane: 2, op_code: 4 /* ge */, value: 2000 }],
-                ExecMode::Hardware,
+                Backend::Hardware,
             )
             .unwrap();
         assert!(s.count > 0);

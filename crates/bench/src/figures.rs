@@ -7,7 +7,7 @@ use ndp_pe::oracle::FilterRule;
 use ndp_pe::template::{pe_report, system_report, PePopulation, PeVariant, SystemReport};
 use ndp_workload::spec::{paper_lanes, ref_lanes, PAPER_PE, PAPER_REF_SPEC, REF_PE};
 use ndp_workload::PaperGen;
-use nkv::ExecMode;
+use nkv::Backend;
 
 /// Operator codes of the standard set (ndp-ir encodings).
 pub mod ops {
@@ -41,7 +41,7 @@ pub fn fig7a(scale: f64, n_gets: u32) -> Fig7a {
     for ds in [&mut base, &mut ours] {
         churn_c1(ds, 7);
     }
-    let run = |ds: &mut Dataset, mode: ExecMode| -> f64 {
+    let run = |ds: &mut Dataset, mode: Backend| -> f64 {
         let mut total_ns = 0u64;
         for i in 0..n_gets {
             // Deterministic existing keys spread over the table.
@@ -54,10 +54,10 @@ pub fn fig7a(scale: f64, n_gets: u32) -> Fig7a {
         total_ns as f64 / f64::from(n_gets) / 1e6
     };
     Fig7a {
-        base_sw_ms: run(&mut base, ExecMode::Software),
-        base_hw_ms: run(&mut base, ExecMode::Hardware),
-        ours_sw_ms: run(&mut ours, ExecMode::Software),
-        ours_hw_ms: run(&mut ours, ExecMode::Hardware),
+        base_sw_ms: run(&mut base, Backend::Software),
+        base_hw_ms: run(&mut base, Backend::Hardware),
+        ours_sw_ms: run(&mut ours, Backend::Software),
+        ours_hw_ms: run(&mut ours, Backend::Hardware),
         n_gets,
     }
 }
@@ -107,7 +107,7 @@ pub struct Fig7b {
 pub fn fig7b(scale: f64) -> Fig7b {
     let mut base = build_db(scale, DbKind::Baseline);
     let mut ours = build_db(scale, DbKind::Ours);
-    let run = |ds: &mut Dataset, mode: ExecMode| -> (f64, u64) {
+    let run = |ds: &mut Dataset, mode: Backend| -> (f64, u64) {
         let papers = ds
             .db
             .scan(
@@ -130,10 +130,10 @@ pub fn fig7b(scale: f64) -> Fig7b {
         let total = papers.report.sim_ns + refs.report.sim_ns;
         (ns_to_secs(total), papers.count + refs.count)
     };
-    let (base_sw_s, _) = run(&mut base, ExecMode::Software);
-    let (base_hw_s, _) = run(&mut base, ExecMode::Hardware);
-    let (ours_sw_s, _) = run(&mut ours, ExecMode::Software);
-    let (ours_hw_s, matched) = run(&mut ours, ExecMode::Hardware);
+    let (base_sw_s, _) = run(&mut base, Backend::Software);
+    let (base_hw_s, _) = run(&mut base, Backend::Hardware);
+    let (ours_sw_s, _) = run(&mut ours, Backend::Software);
+    let (ours_hw_s, matched) = run(&mut ours, Backend::Hardware);
     Fig7b { base_sw_s, base_hw_s, ours_sw_s, ours_hw_s, scale, matched }
 }
 
@@ -295,7 +295,7 @@ pub fn profile(scale: f64, n_gets: u32) -> Profile {
     for i in 0..n_gets {
         let idx = (u64::from(i) * 7919) % ds.cfg.papers;
         let p = PaperGen::paper_at(&ds.cfg, idx);
-        let (rec, _) = ds.db.get("papers", p.id, ExecMode::Hardware).expect("get succeeds");
+        let (rec, _) = ds.db.get("papers", p.id, Backend::Hardware).expect("get succeeds");
         assert!(rec.is_some(), "key {} must exist", p.id);
     }
 
@@ -305,7 +305,7 @@ pub fn profile(scale: f64, n_gets: u32) -> Profile {
         .scan(
             "refs",
             &[FilterRule { lane: ref_lanes::YEAR, op_code: ops::EQ, value: 1980 }],
-            ExecMode::Hardware,
+            Backend::Hardware,
         )
         .expect("refs scan succeeds");
     let busy1 = ds.db.platform_mut().flash.controller_busy_ns();
@@ -368,7 +368,7 @@ pub fn profile_batched_tax(scale: f64, n_gets: u32, batch: u32) -> BatchedTax {
     let mut total_ns = 0u64;
     for chunk in keys.chunks(batch.max(1) as usize) {
         let (results, report) =
-            ds.db.multi_get("papers", chunk, ExecMode::Hardware).expect("batched get succeeds");
+            ds.db.multi_get("papers", chunk, Backend::Hardware).expect("batched get succeeds");
         total_ns += report.sim_ns;
         for r in results {
             assert!(r.expect("per-key get succeeds").is_some(), "profiled keys must exist");
@@ -565,7 +565,7 @@ pub fn ablation_pe_count(scale: f64, counts: &[usize]) -> Vec<(usize, f64)> {
                 .scan(
                     "refs",
                     &[FilterRule { lane: ref_lanes::YEAR, op_code: ops::EQ, value: 1980 }],
-                    ExecMode::Hardware,
+                    Backend::Hardware,
                 )
                 .unwrap();
             (n, ns_to_secs(s.report.sim_ns) / scale)
@@ -583,7 +583,7 @@ pub fn ablation_store_traffic(scale: f64) -> (u64, u64) {
             .scan(
                 "refs",
                 &[FilterRule { lane: ref_lanes::YEAR, op_code: ops::EQ, value: 1980 }],
-                ExecMode::Hardware,
+                Backend::Hardware,
             )
             .unwrap();
         ds.db.platform_mut().dram.traffic_of(cosmos_sim::dram::DramClient::PeStore)
@@ -622,9 +622,9 @@ pub fn ablation_aggregate_pushdown(scale: f64) -> (u64, u64, f64, f64) {
     )
     .unwrap();
     let rules = [FilterRule { lane: ref_lanes::YEAR, op_code: ops::EQ, value: 1980 }];
-    let full = db.scan("refs", &rules, ExecMode::Hardware).unwrap();
+    let full = db.scan("refs", &rules, Backend::Hardware).unwrap();
     let (count, _, agg_rep) =
-        db.scan_aggregate("refs", &rules, AggOp::Count, 0, ExecMode::Hardware).unwrap();
+        db.scan_aggregate("refs", &rules, AggOp::Count, 0, Backend::Hardware).unwrap();
     assert_eq!(count, full.count, "both answers must agree");
     (
         full.report.result_bytes,

@@ -36,11 +36,11 @@
 //! Nothing here consults a clock or RNG of its own, so a seeded chaos
 //! campaign replays exactly.
 
-use crate::db::{NkvDb, TableConfig};
+use crate::db::{record_key, MultiGetResults, NkvDb, ScanSummary, TableConfig};
 use crate::error::{NkvError, NkvResult};
 use crate::exec::ResilienceConfig;
 use crate::metrics::{fmt_ns, DeviceStats, LatencyHistogram, MetricsRegistry, OpKind};
-use crate::plan::{Backend, LogicalOp, PlanOutcome};
+use crate::plan::Backend;
 use crate::queue::{ClientScript, QueueRunConfig, QueuedOp};
 use cosmos_sim::{
     ns_to_secs, CacheStats, CosmosConfig, CosmosPlatform, DeviceAdmission, DeviceFaultKind,
@@ -800,6 +800,13 @@ impl NkvCluster {
         }
     }
 
+    /// Which shard a write of `record` goes to. A record too short to
+    /// carry a key goes to shard 0: any shard returns the same typed
+    /// `RecordSizeMismatch`, so the routing only has to be deterministic.
+    fn shard_for_record(&self, record: &[u8]) -> usize {
+        record_key(record).map_or(0, |key| self.shard_for_key(key))
+    }
+
     /// Direct access to one shard's device — the chaos-test and
     /// operations escape hatch (inject faults, inspect flash, compare
     /// against a standalone device).
@@ -994,13 +1001,7 @@ impl NkvCluster {
     /// [`NkvError::ShardUnavailable`], under either read policy.
     pub fn put(&mut self, table: &str, record: Vec<u8>) -> NkvResult<()> {
         self.probe_quarantined();
-        let shard = if record.len() >= 8 {
-            self.shard_for_key(u64::from_le_bytes(record[..8].try_into().unwrap_or([0; 8])))
-        } else {
-            // Too short to carry a key; any shard will return the same
-            // typed RecordSizeMismatch, so route deterministically.
-            0
-        };
+        let shard = self.shard_for_record(&record);
         self.write_on(shard, |db| db.put(table, record.clone()).map(|()| ((), 0)))
     }
 
@@ -1038,12 +1039,7 @@ impl NkvCluster {
         self.probe_quarantined();
         let mut parts: Vec<Vec<Vec<u8>>> = vec![Vec::new(); self.shards.len()];
         for rec in records {
-            let shard = if rec.len() >= 8 {
-                self.shard_for_key(u64::from_le_bytes(rec[..8].try_into().unwrap_or([0; 8])))
-            } else {
-                0
-            };
-            parts[shard].push(rec);
+            parts[self.shard_for_record(&rec)].push(rec);
         }
         let mut total = 0;
         for (shard, part) in parts.into_iter().enumerate() {
@@ -1066,43 +1062,12 @@ impl NkvCluster {
 
     /// Cluster point lookup: routes to the key's shard.
     pub fn get(&mut self, table: &str, key: u64, backend: Backend) -> NkvResult<ClusterGet> {
-        self.probe_quarantined();
         let shard = self.shard_for_key(key);
-        if !self.shards[shard].fsm.state.serving() {
-            return match self.unavailable(shard) {
-                Err(e) => Err(e),
-                Ok(()) => Ok(ClusterGet { record: None, missing_shards: vec![shard], sim_ns: 0 }),
-            };
-        }
-        let op = LogicalOp::Get { key };
-        let router = self.cfg.router;
-        let res = shard_call(
-            &mut self.shards[shard],
-            &router,
-            &mut self.router_retries,
-            &mut self.router_backoff_ns,
-            |db| match db.execute(table, &op, backend)? {
-                PlanOutcome::Point { record, report } => Ok((record, report.sim_ns)),
-                _ => Err(NkvError::Config("GET lowered to a non-point plan".into())),
-            },
-        );
-        match res {
-            Ok((record, sim_ns)) => {
-                self.shards[shard].fsm.on_success();
-                self.record_router_fanout(&[(shard, sim_ns)]);
-                Ok(ClusterGet { record, missing_shards: Vec::new(), sim_ns })
-            }
-            Err(ShardCallError::Logic(e)) => Err(e),
-            Err(ShardCallError::Fault(reason)) => {
-                self.shards[shard].fsm.on_error();
-                match self.cfg.read_policy {
-                    ReadPolicy::Strict => Err(NkvError::ShardUnavailable { shard, reason }),
-                    ReadPolicy::Available => {
-                        Ok(ClusterGet { record: None, missing_shards: vec![shard], sim_ns: 0 })
-                    }
-                }
-            }
-        }
+        let out = self.fan_out(vec![shard], |_, db| {
+            db.get(table, key, backend).map(|(record, report)| (record, report.sim_ns))
+        })?;
+        let record = out.served.into_iter().next().and_then(|(_, record)| record);
+        Ok(ClusterGet { record, missing_shards: out.missing, sim_ns: out.sim_ns })
     }
 
     /// Cluster batched GET: validates the whole key list against the
@@ -1121,60 +1086,23 @@ impl NkvCluster {
         // errors on the full input list, before any shard is touched.
         cosmos_sim::KeyListDescriptor::new(keys)
             .map_err(|e| NkvError::Config(format!("cluster batched GET on `{table}`: {e}")))?;
-        self.probe_quarantined();
-        let router = self.cfg.router;
-        let mut per_shard: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.shards.len()];
+        let mut slices: Vec<(Vec<usize>, Vec<u64>)> = vec![Default::default(); self.shards.len()];
         for (i, &k) in keys.iter().enumerate() {
-            per_shard[self.shard_for_key(k)].push((i, k));
+            let (slots, shard_keys) = &mut slices[self.shard_for_key(k)];
+            slots.push(i);
+            shard_keys.push(k);
         }
-        let mut results: Vec<NkvResult<Option<Vec<u8>>>> = keys.iter().map(|_| Ok(None)).collect();
-        let mut missing = Vec::new();
-        let mut waits: Vec<(usize, SimNs)> = Vec::new();
-        let mut sim_ns: SimNs = 0;
-        for (shard, slots) in per_shard.iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            if !self.shards[shard].fsm.state.serving() {
-                self.unavailable(shard)?;
-                missing.push(shard);
-                continue;
-            }
-            let shard_keys: Vec<u64> = slots.iter().map(|&(_, k)| k).collect();
-            let op = LogicalOp::MultiGet { keys: shard_keys };
-            let res = shard_call(
-                &mut self.shards[shard],
-                &router,
-                &mut self.router_retries,
-                &mut self.router_backoff_ns,
-                |db| match db.execute(table, &op, backend)? {
-                    PlanOutcome::Batch { results, report } => Ok((results, report.sim_ns)),
-                    // A single-key slice folds to the legacy point plan.
-                    PlanOutcome::Point { record, report } => Ok((vec![Ok(record)], report.sim_ns)),
-                    _ => Err(NkvError::Config("batched GET lowered to a non-batch plan".into())),
-                },
-            );
-            match res {
-                Ok((shard_results, ns)) => {
-                    self.shards[shard].fsm.on_success();
-                    for (slot, r) in slots.iter().zip(shard_results) {
-                        results[slot.0] = r;
-                    }
-                    waits.push((shard, ns));
-                    sim_ns = sim_ns.max(ns);
-                }
-                Err(ShardCallError::Logic(e)) => return Err(e),
-                Err(ShardCallError::Fault(reason)) => {
-                    self.shards[shard].fsm.on_error();
-                    if matches!(self.cfg.read_policy, ReadPolicy::Strict) {
-                        return Err(NkvError::ShardUnavailable { shard, reason });
-                    }
-                    missing.push(shard);
-                }
+        let participants = (0..slices.len()).filter(|&s| !slices[s].0.is_empty()).collect();
+        let out = self.fan_out(participants, |shard, db| {
+            db.multi_get(table, &slices[shard].1, backend).map(|(r, report)| (r, report.sim_ns))
+        })?;
+        let mut results: MultiGetResults = keys.iter().map(|_| Ok(None)).collect();
+        for (shard, shard_results) in out.served {
+            for (&slot, r) in slices[shard].0.iter().zip(shard_results) {
+                results[slot] = r;
             }
         }
-        self.record_router_fanout(&waits);
-        Ok(ClusterMultiGet { results, missing_shards: missing, sim_ns })
+        Ok(ClusterMultiGet { results, missing_shards: out.missing, sim_ns: out.sim_ns })
     }
 
     /// Cluster SCAN: fan out to every shard, concatenate surviving
@@ -1185,8 +1113,9 @@ impl NkvCluster {
         rules: &[FilterRule],
         backend: Backend,
     ) -> NkvResult<ClusterScan> {
-        let op = LogicalOp::Scan { rules: rules.to_vec() };
-        self.fanout_scan(table, &op, backend, None)
+        let participants = self.participants(None);
+        let out = self.fan_out(participants, |_, db| db.scan(table, rules, backend).map(timed))?;
+        Ok(out.concat())
     }
 
     /// Cluster SCAN with cost-based tier selection: every serving shard
@@ -1200,54 +1129,15 @@ impl NkvCluster {
         table: &str,
         rules: &[FilterRule],
     ) -> NkvResult<(ClusterScan, Vec<(usize, Backend)>)> {
-        self.probe_quarantined();
-        let op = LogicalOp::Scan { rules: rules.to_vec() };
-        let router = self.cfg.router;
-        let mut records = Vec::new();
-        let mut count = 0;
-        let mut missing = Vec::new();
-        let mut tiers: Vec<(usize, Backend)> = Vec::new();
-        let mut waits: Vec<(usize, SimNs)> = Vec::new();
-        let mut sim_ns: SimNs = 0;
-        for shard in self.participants(None) {
-            if !self.shards[shard].fsm.state.serving() {
-                self.unavailable(shard)?;
-                missing.push(shard);
-                continue;
-            }
-            let res = shard_call(
-                &mut self.shards[shard],
-                &router,
-                &mut self.router_retries,
-                &mut self.router_backoff_ns,
-                |db| match db.execute_adaptive(table, &op)? {
-                    (PlanOutcome::Records { records, count, report }, cost) => {
-                        Ok(((records, count, cost.chosen), report.sim_ns))
-                    }
-                    _ => Err(NkvError::Config("scan lowered to a non-scan plan".into())),
-                },
-            );
-            match res {
-                Ok(((shard_records, shard_count, chosen), ns)) => {
-                    self.shards[shard].fsm.on_success();
-                    records.extend_from_slice(&shard_records);
-                    count += shard_count;
-                    tiers.push((shard, chosen));
-                    waits.push((shard, ns));
-                    sim_ns = sim_ns.max(ns);
-                }
-                Err(ShardCallError::Logic(e)) => return Err(e),
-                Err(ShardCallError::Fault(reason)) => {
-                    self.shards[shard].fsm.on_error();
-                    if matches!(self.cfg.read_policy, ReadPolicy::Strict) {
-                        return Err(NkvError::ShardUnavailable { shard, reason });
-                    }
-                    missing.push(shard);
-                }
-            }
-        }
-        self.record_router_fanout(&waits);
-        Ok((ClusterScan { records, count, missing_shards: missing, sim_ns }, tiers))
+        let participants = self.participants(None);
+        let FanOut { served, missing, sim_ns } = self.fan_out(participants, |_, db| {
+            let (summary, cost) = db.scan_adaptive(table, rules)?;
+            let (summary, ns) = timed(summary);
+            Ok(((summary, cost.chosen), ns))
+        })?;
+        let tiers = served.iter().map(|&(shard, (_, chosen))| (shard, chosen)).collect();
+        let served = served.into_iter().map(|(shard, (summary, _))| (shard, summary)).collect();
+        Ok((FanOut { served, missing, sim_ns }.concat(), tiers))
     }
 
     /// Cluster RANGE_SCAN (`lo <= key < hi`). Under range sharding,
@@ -1260,8 +1150,10 @@ impl NkvCluster {
         hi: u64,
         backend: Backend,
     ) -> NkvResult<ClusterScan> {
-        let op = LogicalOp::RangeScan { lo, hi };
-        self.fanout_scan(table, &op, backend, Some((lo, hi)))
+        let participants = self.participants(Some((lo, hi)));
+        let out =
+            self.fan_out(participants, |_, db| db.range_scan(table, lo, hi, backend).map(timed))?;
+        Ok(out.concat())
     }
 
     /// Cluster aggregate SCAN: fan out, merge accumulators (COUNT/SUM
@@ -1275,54 +1167,14 @@ impl NkvCluster {
         lane: u32,
         backend: Backend,
     ) -> NkvResult<ClusterAggregate> {
-        self.probe_quarantined();
-        let op = LogicalOp::ScanAggregate { rules: rules.to_vec(), agg, lane };
-        let router = self.cfg.router;
-        let mut merged: Option<(u64, bool)> = None;
-        let mut missing = Vec::new();
-        let mut waits: Vec<(usize, SimNs)> = Vec::new();
-        let mut sim_ns: SimNs = 0;
-        for shard in 0..self.shards.len() {
-            if !self.shards[shard].fsm.state.serving() {
-                self.unavailable(shard)?;
-                missing.push(shard);
-                continue;
-            }
-            let res = shard_call(
-                &mut self.shards[shard],
-                &router,
-                &mut self.router_retries,
-                &mut self.router_backoff_ns,
-                |db| match db.execute(table, &op, backend)? {
-                    PlanOutcome::Aggregate { value, any, report } => {
-                        Ok(((value, any), report.sim_ns))
-                    }
-                    _ => Err(NkvError::Config("aggregate lowered to a non-aggregate plan".into())),
-                },
-            );
-            match res {
-                Ok(((value, any), ns)) => {
-                    self.shards[shard].fsm.on_success();
-                    waits.push((shard, ns));
-                    sim_ns = sim_ns.max(ns);
-                    merged = Some(match merged {
-                        None => (value, any),
-                        Some(acc) => merge_agg(agg, acc, (value, any)),
-                    });
-                }
-                Err(ShardCallError::Logic(e)) => return Err(e),
-                Err(ShardCallError::Fault(reason)) => {
-                    self.shards[shard].fsm.on_error();
-                    if matches!(self.cfg.read_policy, ReadPolicy::Strict) {
-                        return Err(NkvError::ShardUnavailable { shard, reason });
-                    }
-                    missing.push(shard);
-                }
-            }
-        }
+        let participants = self.participants(None);
+        let out = self.fan_out(participants, |_, db| {
+            let (value, any, report) = db.scan_aggregate(table, rules, agg, lane, backend)?;
+            Ok(((value, any), report.sim_ns))
+        })?;
+        let merged = out.served.into_iter().map(|(_, acc)| acc).reduce(|a, b| merge_agg(agg, a, b));
         let (value, any) = merged.unwrap_or((0, false));
-        self.record_router_fanout(&waits);
-        Ok(ClusterAggregate { value, any, missing_shards: missing, sim_ns })
+        Ok(ClusterAggregate { value, any, missing_shards: out.missing, sim_ns: out.sim_ns })
     }
 
     /// Run every client's script through the cluster: each op is routed
@@ -1364,14 +1216,7 @@ impl NkvCluster {
                         parts[self.shard_for_key(*key)][client].ops.push(qop.clone());
                     }
                     QueuedOp::Put { record } => {
-                        let shard = if record.len() >= 8 {
-                            self.shard_for_key(u64::from_le_bytes(
-                                record[..8].try_into().unwrap_or([0; 8]),
-                            ))
-                        } else {
-                            0
-                        };
-                        parts[shard][client].ops.push(qop.clone());
+                        parts[self.shard_for_record(record)][client].ops.push(qop.clone());
                     }
                     QueuedOp::Scan { .. } => {
                         for part in parts.iter_mut() {
@@ -1415,26 +1260,27 @@ impl NkvCluster {
         Ok(ClusterRunReport { logical_ops, completions, span_ns: span, latency, shard_spans })
     }
 
-    /// SCAN/RANGE_SCAN fan-out shared core. `range` enables shard
-    /// pruning under range sharding.
-    fn fanout_scan(
+    /// The read fan-out every cluster read runs through. After the
+    /// quarantine probe tick, each participant in order gets the serving
+    /// check, one [`shard_call`] of `call` under the router's retry
+    /// policy, the health-FSM update and the read policy (`Strict`
+    /// fails the whole read, `Available` records the hole); then one
+    /// router fan-out record over the shards that served. Returns their
+    /// results in shard order, the holes and the max participant time
+    /// (the fan-out is device-parallel).
+    fn fan_out<T>(
         &mut self,
-        table: &str,
-        op: &LogicalOp,
-        backend: Backend,
-        range: Option<(u64, u64)>,
-    ) -> NkvResult<ClusterScan> {
+        participants: Vec<usize>,
+        mut call: impl FnMut(usize, &mut NkvDb) -> NkvResult<(T, SimNs)>,
+    ) -> NkvResult<FanOut<T>> {
         self.probe_quarantined();
         let router = self.cfg.router;
-        let mut records = Vec::new();
-        let mut count = 0;
-        let mut missing = Vec::new();
+        let mut out = FanOut { served: Vec::new(), missing: Vec::new(), sim_ns: 0 };
         let mut waits: Vec<(usize, SimNs)> = Vec::new();
-        let mut sim_ns: SimNs = 0;
-        for shard in self.participants(range) {
+        for shard in participants {
             if !self.shards[shard].fsm.state.serving() {
                 self.unavailable(shard)?;
-                missing.push(shard);
+                out.missing.push(shard);
                 continue;
             }
             let res = shard_call(
@@ -1442,33 +1288,27 @@ impl NkvCluster {
                 &router,
                 &mut self.router_retries,
                 &mut self.router_backoff_ns,
-                |db| match db.execute(table, op, backend)? {
-                    PlanOutcome::Records { records, count, report } => {
-                        Ok(((records, count), report.sim_ns))
-                    }
-                    _ => Err(NkvError::Config("scan lowered to a non-scan plan".into())),
-                },
+                |db| call(shard, db),
             );
             match res {
-                Ok(((shard_records, shard_count), ns)) => {
+                Ok((v, ns)) => {
                     self.shards[shard].fsm.on_success();
-                    records.extend_from_slice(&shard_records);
-                    count += shard_count;
+                    out.served.push((shard, v));
                     waits.push((shard, ns));
-                    sim_ns = sim_ns.max(ns);
+                    out.sim_ns = out.sim_ns.max(ns);
                 }
                 Err(ShardCallError::Logic(e)) => return Err(e),
                 Err(ShardCallError::Fault(reason)) => {
                     self.shards[shard].fsm.on_error();
-                    if matches!(self.cfg.read_policy, ReadPolicy::Strict) {
+                    if self.cfg.read_policy == ReadPolicy::Strict {
                         return Err(NkvError::ShardUnavailable { shard, reason });
                     }
-                    missing.push(shard);
+                    out.missing.push(shard);
                 }
             }
         }
         self.record_router_fanout(&waits);
-        Ok(ClusterScan { records, count, missing_shards: missing, sim_ns })
+        Ok(out)
     }
 
     /// Which shards a fan-out visits. `range` (from RANGE_SCAN) prunes
@@ -1551,6 +1391,36 @@ impl NkvCluster {
             }
         }
     }
+}
+
+/// What one read fan-out gathered (see `NkvCluster::fan_out`).
+struct FanOut<T> {
+    /// `(shard, result)` of every shard that served, in shard order.
+    served: Vec<(usize, T)>,
+    /// Participants that could not serve.
+    missing: Vec<usize>,
+    /// Max participant device time.
+    sim_ns: SimNs,
+}
+
+impl FanOut<ScanSummary> {
+    /// Concatenate the served scans in shard order.
+    fn concat(self) -> ClusterScan {
+        let mut records = Vec::new();
+        let mut count = 0;
+        for (_, summary) in self.served {
+            records.extend_from_slice(&summary.records);
+            count += summary.count;
+        }
+        ClusterScan { records, count, missing_shards: self.missing, sim_ns: self.sim_ns }
+    }
+}
+
+/// A scan summary paired with its device time, the shape a fan-out
+/// call returns.
+fn timed(summary: ScanSummary) -> (ScanSummary, SimNs) {
+    let ns = summary.report.sim_ns;
+    (summary, ns)
 }
 
 /// Merge two aggregate accumulators. Only matching sides contribute;

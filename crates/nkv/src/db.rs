@@ -7,9 +7,9 @@
 //! advances the device's simulated clock and returns a [`SimReport`].
 
 use crate::cost::{AdaptState, CostInputs, CostReport};
-use crate::engine::ParallelScanStats;
+use crate::engine::{self, ParallelScanStats};
 use crate::error::{NkvError, NkvResult};
-use crate::exec::{ExecMode, HealthCounters, ResilienceConfig, SimReport, TableExec};
+use crate::exec::{HealthCounters, ResilienceConfig, SimReport, TableExec};
 use crate::lsm::{LsmConfig, LsmTree};
 use crate::metrics::{fmt_ns, DeviceStats, MetricsRegistry, OpKind};
 use crate::placement::PageAllocator;
@@ -164,6 +164,9 @@ pub struct NkvDb {
     manifest_epoch: u64,
     /// Pages relocated by read-repair since creation/recovery.
     pages_repaired: u64,
+    /// Tables created so far: the next table's SST-id namespace (see
+    /// [`LsmTree::set_id_namespace`]).
+    tables_created: u64,
     /// Op-level metrics; `None` (the default) costs one branch per
     /// operation and changes nothing else.
     metrics: Option<MetricsRegistry>,
@@ -172,17 +175,46 @@ pub struct NkvDb {
     trace_log: Vec<TraceEvent>,
 }
 
-/// Decode a record's embedded key (its first 8 bytes, little endian),
-/// surfacing a typed error instead of panicking when the record is too
-/// short to carry one. Callers size-check records first, but the write
-/// and bulk-load paths are reachable from the cluster router's shard
-/// calls, where a panic would take down the whole fleet simulation
-/// instead of failing one shard.
-fn record_key(table: &str, record: &[u8]) -> NkvResult<u64> {
-    let bytes: [u8; 8] = record.get(..8).and_then(|s| s.try_into().ok()).ok_or_else(|| {
-        NkvError::RecordSizeMismatch { table: table.to_string(), expected: 8, got: record.len() }
-    })?;
-    Ok(u64::from_le_bytes(bytes))
+/// A record's embedded key: its first 8 bytes, little endian (`None`
+/// when the record is too short to carry one). The one key decoder of
+/// the write, bulk-load, queued-PUT and cluster-routing paths.
+pub(crate) fn record_key(record: &[u8]) -> Option<u64> {
+    record.get(..8)?.try_into().ok().map(u64::from_le_bytes)
+}
+
+impl Table {
+    /// Validate `record` against the table's fixed record size and
+    /// decode its key, as a typed error instead of a panic: the write
+    /// paths are reachable from the cluster router's shard calls, where
+    /// a panic would take down the whole fleet simulation.
+    pub(crate) fn checked_key(&self, table: &str, record: &[u8]) -> NkvResult<u64> {
+        let expected = self.lsm.record_bytes();
+        let mismatch = |expected| NkvError::RecordSizeMismatch {
+            table: table.to_string(),
+            expected,
+            got: record.len(),
+        };
+        if record.len() != expected {
+            return Err(mismatch(expected));
+        }
+        record_key(record).ok_or_else(|| mismatch(8))
+    }
+}
+
+/// The error of a typed read whose plan produced another outcome shape
+/// (unreachable while `PhysicalPlan::lower` maps each op to its shape).
+pub(crate) fn off_plan(table: &str, op: &str) -> NkvError {
+    NkvError::Config(format!("{op} on `{table}` lowered to a plan of another shape"))
+}
+
+/// A filter scan's outcome as a [`ScanSummary`].
+fn scan_summary(table: &str, outcome: PlanOutcome) -> NkvResult<ScanSummary> {
+    match outcome {
+        PlanOutcome::Records { records, count, report } => {
+            Ok(ScanSummary { records, count, report })
+        }
+        _ => Err(off_plan(table, "SCAN")),
+    }
 }
 
 impl NkvDb {
@@ -197,6 +229,7 @@ impl NkvDb {
             clock: 0,
             manifest_epoch: 0,
             pages_repaired: 0,
+            tables_created: 0,
             metrics: None,
             trace_log: Vec::new(),
         }
@@ -434,7 +467,7 @@ impl NkvDb {
         }
         let n = drivers.len();
         let full_block_payload = (cfg.pe.chunk_bytes / record_bytes as u32) * record_bytes as u32;
-        let table = Table {
+        let mut table = Table {
             unique_keys: cfg.unique_keys,
             adapt: AdaptState::default(),
             lsm: LsmTree::new(
@@ -465,6 +498,8 @@ impl NkvDb {
                 last_parallel_scan: None,
             },
         };
+        table.lsm.set_id_namespace(self.tables_created);
+        self.tables_created += 1;
         self.tables.insert(name.to_string(), table);
         Ok(())
     }
@@ -473,21 +508,14 @@ impl NkvDb {
     /// Flushes and compacts as thresholds are crossed.
     pub fn put(&mut self, table: &str, record: Vec<u8>) -> NkvResult<()> {
         let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let expected = t.lsm.record_bytes();
-        if record.len() != expected {
-            return Err(NkvError::RecordSizeMismatch {
-                table: table.to_string(),
-                expected,
-                got: record.len(),
-            });
-        }
-        let key = record_key(table, &record)?;
+        let key = t.checked_key(table, &record)?;
+        let bytes = record.len() as u64;
         let t0 = self.clock;
         t.lsm.put(key, record);
         self.maintain(table)?;
         // The memtable insert itself is free in simulated time; a PUT's
         // latency is whatever flush/compaction it triggered.
-        self.observe(OpKind::Put, self.clock - t0, expected as u64);
+        self.observe(OpKind::Put, self.clock - t0, bytes);
         Ok(())
     }
 
@@ -570,20 +598,12 @@ impl NkvDb {
         let mut done = now;
         let mut builder: Option<SstBuilder> = None;
         let mut in_current = 0usize;
-        let mut next_id = 1_000_000u64;
         for record in records {
-            if record.len() != record_bytes {
-                return Err(NkvError::RecordSizeMismatch {
-                    table: table.to_string(),
-                    expected: record_bytes,
-                    got: record.len(),
-                });
-            }
-            let key = record_key(table, &record)?;
+            let key = t.checked_key(table, &record)?;
             let allow_dups = !t.unique_keys;
             let b = builder.get_or_insert_with(|| {
-                next_id += 1;
-                let b = SstBuilder::new(next_id, 2, record_bytes, block_bytes, table);
+                let id = t.lsm.alloc_bulk_sst_id();
+                let b = SstBuilder::new(id, 2, record_bytes, block_bytes, table);
                 if allow_dups {
                     b.allow_duplicate_keys()
                 } else {
@@ -621,32 +641,12 @@ impl NkvDb {
         &mut self,
         table: &str,
         key: u64,
-        mode: ExecMode,
+        mode: Backend,
     ) -> NkvResult<(Option<Vec<u8>>, SimReport)> {
-        let now = self.clock;
-        let (rec, report) = self.get_at(table, key, mode, now)?;
-        self.clock += report.sim_ns;
-        self.observe(OpKind::Get, report.sim_ns, rec.as_ref().map_or(0, |r| r.len() as u64));
-        Ok((rec, report))
-    }
-
-    /// Point lookup as of simulated time `now` (no clock/metrics side
-    /// effects; shared by the serial path and the queued scheduler).
-    pub(crate) fn get_at(
-        &mut self,
-        table: &str,
-        key: u64,
-        mode: ExecMode,
-        now: SimNs,
-    ) -> NkvResult<(Option<Vec<u8>>, SimReport)> {
-        let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let plan = PhysicalPlan::lower(
-            &LogicalOp::Get { key },
-            Backend::from(mode),
-            &t.exec.caps(),
-            table,
-        )?;
-        crate::engine::run_get(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)
+        match self.execute(table, &LogicalOp::Get { key }, mode)? {
+            PlanOutcome::Point { record, report } => Ok((record, report)),
+            _ => Err(off_plan(table, "GET")),
+        }
     }
 
     /// Batched point lookup: N keys served through one key-list DMA
@@ -655,49 +655,17 @@ impl NkvDb {
     /// slot independently attributed, so a fault on one key's walk is
     /// that slot's typed error while the rest of the batch completes —
     /// plus the whole batch's [`SimReport`]. A batch of one lowers to
-    /// the legacy point lookup, bit for bit.
+    /// the plain point lookup, bit for bit.
     pub fn multi_get(
         &mut self,
         table: &str,
         keys: &[u64],
-        mode: ExecMode,
+        mode: Backend,
     ) -> NkvResult<(MultiGetResults, SimReport)> {
-        let now = self.clock;
-        let (results, _, report) = self.multi_get_at(table, keys, mode, now)?;
-        self.clock += report.sim_ns;
-        self.observe(OpKind::Get, report.sim_ns, report.result_bytes);
-        Ok((results, report))
-    }
-
-    /// Batched lookup as of simulated time `now` (no clock/metrics side
-    /// effects; shared by the serial path and the queued scheduler).
-    /// Also returns each key's absolute completion time, monotone in
-    /// key order — the queue engine turns those into per-command CQEs.
-    pub(crate) fn multi_get_at(
-        &mut self,
-        table: &str,
-        keys: &[u64],
-        mode: ExecMode,
-        now: SimNs,
-    ) -> NkvResult<(MultiGetResults, Vec<SimNs>, SimReport)> {
-        let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let plan = PhysicalPlan::lower(
-            &LogicalOp::MultiGet { keys: keys.to_vec() },
-            Backend::from(mode),
-            &t.exec.caps(),
-            table,
-        )?;
-        match plan.op {
-            // Singleton batches fold to the legacy point lookup.
-            PhysOp::PointLookup { .. } => {
-                let (rec, report) =
-                    crate::engine::run_get(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)?;
-                let done = now + report.sim_ns;
-                Ok((vec![Ok(rec)], vec![done], report))
-            }
-            _ => {
-                crate::engine::run_batched_get(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)
-            }
+        match self.execute(table, &LogicalOp::MultiGet { keys: keys.to_vec() }, mode)? {
+            PlanOutcome::Batch { results, report } => Ok((results, report)),
+            PlanOutcome::Point { record, report } => Ok((vec![Ok(record)], report)),
+            _ => Err(off_plan(table, "batched GET")),
         }
     }
 
@@ -706,33 +674,10 @@ impl NkvDb {
         &mut self,
         table: &str,
         rules: &[FilterRule],
-        mode: ExecMode,
+        mode: Backend,
     ) -> NkvResult<ScanSummary> {
-        let now = self.clock;
-        let summary = self.scan_at(table, rules, mode, now)?;
-        self.clock += summary.report.sim_ns;
-        self.observe(OpKind::Scan, summary.report.sim_ns, summary.report.result_bytes);
-        Ok(summary)
-    }
-
-    /// SCAN as of simulated time `now` (no clock/metrics side effects;
-    /// shared by the serial path and the queued scheduler). Lowers the
-    /// rules through the planner, so validation errors are identical on
-    /// every path.
-    pub(crate) fn scan_at(
-        &mut self,
-        table: &str,
-        rules: &[FilterRule],
-        mode: ExecMode,
-        now: SimNs,
-    ) -> NkvResult<ScanSummary> {
-        let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
-        let op = LogicalOp::Scan { rules: rules.to_vec() };
-        let plan = PhysicalPlan::lower(&op, Backend::from(mode), &t.exec.caps(), table)?;
-        let (records, report) =
-            crate::engine::run_scan(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)?;
-        let count = records.len() as u64 / t.exec.processor.out_tuple_bytes().max(1) as u64;
-        Ok(ScanSummary { records, count, report })
+        let outcome = self.execute(table, &LogicalOp::Scan { rules: rules.to_vec() }, mode)?;
+        scan_summary(table, outcome)
     }
 
     /// Aggregate SCAN pushdown: compute `agg` over `lane` of every record
@@ -745,17 +690,13 @@ impl NkvDb {
         rules: &[FilterRule],
         agg: ndp_ir::AggOp,
         lane: u32,
-        mode: ExecMode,
+        mode: Backend,
     ) -> NkvResult<(u64, bool, SimReport)> {
-        let now = self.clock;
-        let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
         let op = LogicalOp::ScanAggregate { rules: rules.to_vec(), agg, lane };
-        let plan = PhysicalPlan::lower(&op, Backend::from(mode), &t.exec.caps(), table)?;
-        let out =
-            crate::engine::run_scan_aggregate(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)?;
-        self.clock += out.2.sim_ns;
-        self.observe(OpKind::Scan, out.2.sim_ns, out.2.result_bytes);
-        Ok(out)
+        match self.execute(table, &op, mode)? {
+            PlanOutcome::Aggregate { value, any, report } => Ok((value, any, report)),
+            _ => Err(off_plan(table, "aggregate SCAN")),
+        }
     }
 
     /// Lower a logical operation against a table into its physical plan
@@ -783,64 +724,71 @@ impl NkvDb {
     }
 
     /// Plan and execute a logical operation on the chosen backend,
-    /// advancing the device clock. This is the planner-first face of
-    /// [`get`](Self::get)/[`scan`](Self::scan)/
-    /// [`scan_aggregate`](Self::scan_aggregate) and the only entry point
-    /// for the [`Backend::Hybrid`] pushdown split.
+    /// advancing the device clock and recording the op's metrics. Every
+    /// typed read ([`get`](Self::get), [`multi_get`](Self::multi_get),
+    /// [`scan`](Self::scan), [`range_scan`](Self::range_scan),
+    /// [`scan_aggregate`](Self::scan_aggregate)) is a thin adapter over
+    /// this call, and it is the only entry point for the
+    /// [`Backend::Hybrid`] pushdown split.
     pub fn execute(
         &mut self,
         table: &str,
         op: &LogicalOp,
         backend: Backend,
     ) -> NkvResult<PlanOutcome> {
-        let now = self.clock;
+        let (outcome, _) = self.execute_at(table, op, backend, self.clock)?;
+        let report = *outcome.report();
+        let (kind, bytes) = match &outcome {
+            PlanOutcome::Point { record, .. } => {
+                (OpKind::Get, record.as_ref().map_or(0, |r| r.len() as u64))
+            }
+            PlanOutcome::Batch { .. } => (OpKind::Get, report.result_bytes),
+            PlanOutcome::Records { .. } | PlanOutcome::Aggregate { .. } => {
+                (OpKind::Scan, report.result_bytes)
+            }
+        };
+        self.clock += report.sim_ns;
+        self.observe(kind, report.sim_ns, bytes);
+        Ok(outcome)
+    }
+
+    /// The one execution path: look `table` up, lower `op` for `backend`
+    /// and run the plan on the engine as of simulated time `now`. No
+    /// clock or metrics side effects — [`execute`](Self::execute) and
+    /// the queue engine add those. A batched GET also returns each key's
+    /// absolute completion time, monotone in key order (the queue engine
+    /// turns those into per-command CQEs); other outcomes return none.
+    pub(crate) fn execute_at(
+        &mut self,
+        table: &str,
+        op: &LogicalOp,
+        backend: Backend,
+        now: SimNs,
+    ) -> NkvResult<(PlanOutcome, Vec<SimNs>)> {
         let t = self.tables.get_mut(table).ok_or_else(|| NkvError::UnknownTable(table.into()))?;
         let plan = PhysicalPlan::lower(op, backend, &t.exec.caps(), table)?;
-        match plan.op {
+        let (platform, lsm, exec) = (&mut self.platform, &t.lsm, &mut t.exec);
+        Ok(match plan.op {
             PhysOp::PointLookup { .. } => {
-                let (record, report) =
-                    crate::engine::run_get(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)?;
-                self.clock += report.sim_ns;
-                self.observe(
-                    OpKind::Get,
-                    report.sim_ns,
-                    record.as_ref().map_or(0, |r| r.len() as u64),
-                );
-                Ok(PlanOutcome::Point { record, report })
+                let (record, report) = engine::run_get(platform, lsm, exec, &plan, now)?;
+                (PlanOutcome::Point { record, report }, Vec::new())
             }
             PhysOp::BatchedGet { .. } => {
-                let (results, _, report) = crate::engine::run_batched_get(
-                    &mut self.platform,
-                    &t.lsm,
-                    &mut t.exec,
-                    &plan,
-                    now,
-                )?;
-                self.clock += report.sim_ns;
-                self.observe(OpKind::Get, report.sim_ns, report.result_bytes);
-                Ok(PlanOutcome::Batch { results, report })
+                let (results, dones, report) =
+                    engine::run_batched_get(platform, lsm, exec, &plan, now)?;
+                (PlanOutcome::Batch { results, report }, dones)
             }
             PhysOp::FilterScan => {
-                let (records, report) =
-                    crate::engine::run_scan(&mut self.platform, &t.lsm, &mut t.exec, &plan, now)?;
-                let count = records.len() as u64 / t.exec.processor.out_tuple_bytes().max(1) as u64;
-                self.clock += report.sim_ns;
-                self.observe(OpKind::Scan, report.sim_ns, report.result_bytes);
-                Ok(PlanOutcome::Records { records, count, report })
+                let (records, report) = engine::run_scan(platform, lsm, exec, &plan, now)?;
+                let count = records.len() as u64 / exec.processor.out_tuple_bytes().max(1) as u64;
+                (PlanOutcome::Records { records, count, report }, Vec::new())
             }
             PhysOp::AggregateScan { .. } => {
-                let (value, any, report) = crate::engine::run_scan_aggregate(
-                    &mut self.platform,
-                    &t.lsm,
-                    &mut t.exec,
-                    &plan,
-                    now,
-                )?;
-                self.clock += report.sim_ns;
-                self.observe(OpKind::Scan, report.sim_ns, report.result_bytes);
-                Ok(PlanOutcome::Aggregate { value, any, report })
+                let (value, any, report) =
+                    engine::run_scan_aggregate(platform, lsm, exec, &plan, now)?;
+                (PlanOutcome::Aggregate { value, any, report }, Vec::new())
             }
-        }
+        })
     }
 
     /// Capture the table-shape inputs the adaptive cost model prices
@@ -915,32 +863,8 @@ impl NkvDb {
         rules: &[FilterRule],
     ) -> NkvResult<(ScanSummary, CostReport)> {
         let op = LogicalOp::Scan { rules: rules.to_vec() };
-        match self.execute_adaptive(table, &op)? {
-            (PlanOutcome::Records { records, count, report }, cost) => {
-                Ok((ScanSummary { records, count, report }, cost))
-            }
-            _ => Err(NkvError::Config(format!(
-                "adaptive scan of `{table}` lowered to a non-scan outcome"
-            ))),
-        }
-    }
-
-    /// Adaptive point lookup: [`get`](Self::get) with the tier chosen by
-    /// the cost model. The walk dominates either tier (Fig. 7(a): the
-    /// config tax eats the PE's advantage), so the pick follows the
-    /// record width — narrow records stream too slowly through the PE to
-    /// beat the ARM's fixed binary search.
-    pub fn get_adaptive(
-        &mut self,
-        table: &str,
-        key: u64,
-    ) -> NkvResult<(Option<Vec<u8>>, SimReport, CostReport)> {
-        match self.execute_adaptive(table, &LogicalOp::Get { key })? {
-            (PlanOutcome::Point { record, report }, cost) => Ok((record, report, cost)),
-            _ => Err(NkvError::Config(format!(
-                "adaptive get on `{table}` lowered to a non-point outcome"
-            ))),
-        }
+        let (outcome, cost) = self.execute_adaptive(table, &op)?;
+        Ok((scan_summary(table, outcome)?, cost))
     }
 
     /// `EXPLAIN` for the adaptive planner: the chosen tier's plan plus
@@ -983,13 +907,10 @@ impl NkvDb {
         table: &str,
         lo: u64,
         hi: u64,
-        mode: ExecMode,
+        mode: Backend,
     ) -> NkvResult<ScanSummary> {
-        let rules = [
-            FilterRule { lane: 0, op_code: 4 /* ge */, value: lo },
-            FilterRule { lane: 0, op_code: 5 /* lt */, value: hi },
-        ];
-        self.scan(table, &rules, mode)
+        let outcome = self.execute(table, &LogicalOp::RangeScan { lo, hi }, mode)?;
+        scan_summary(table, outcome)
     }
 
     /// Persist the device manifest so [`NkvDb::recover`] can rebuild the
@@ -1040,6 +961,7 @@ impl NkvDb {
             clock: 0,
             manifest_epoch: 0,
             pages_repaired: 0,
+            tables_created: 0,
             metrics: None,
             trace_log: Vec::new(),
         };
@@ -1090,6 +1012,19 @@ impl NkvDb {
                 recovered,
             );
         }
+        // Recovered trees resume the id namespace their SSTs carry; trees
+        // without SSTs take fresh namespaces past all of those.
+        let mut names: Vec<String> = db.tables.keys().cloned().collect();
+        names.sort();
+        let empty = |t: &Table| t.lsm.all_ssts().is_empty();
+        let in_use = db.tables.values().filter(|t| !empty(t)).map(|t| t.lsm.id_namespace() + 1);
+        db.tables_created = in_use.max().unwrap_or(0);
+        for name in names {
+            if let Some(t) = db.tables.get_mut(&name).filter(|t| empty(t)) {
+                t.lsm.set_id_namespace(db.tables_created);
+                db.tables_created += 1;
+            }
+        }
         Ok(db)
     }
 
@@ -1137,11 +1072,11 @@ mod tests {
         let cfg = PubGraphConfig { papers: 10, refs: 10, seed: 1 };
         let p = PaperGen::paper_at(&cfg, 3);
         db.put("papers", encode(&p)).unwrap();
-        let (got, rep) = db.get("papers", p.id, ExecMode::Software).unwrap();
+        let (got, rep) = db.get("papers", p.id, Backend::Software).unwrap();
         assert_eq!(got, Some(encode(&p)));
         assert!(rep.sim_ns > 0);
         db.delete("papers", p.id).unwrap();
-        let (gone, _) = db.get("papers", p.id, ExecMode::Software).unwrap();
+        let (gone, _) = db.get("papers", p.id, Backend::Software).unwrap();
         assert_eq!(gone, None);
         assert!(db.clock() > 0);
     }
@@ -1153,8 +1088,8 @@ mod tests {
         let n = db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         assert_eq!(n, 3000);
         let p = PaperGen::paper_at(&cfg, 1234);
-        let (sw, _) = db.get("papers", p.id, ExecMode::Software).unwrap();
-        let (hw, _) = db.get("papers", p.id, ExecMode::Hardware).unwrap();
+        let (sw, _) = db.get("papers", p.id, Backend::Software).unwrap();
+        let (hw, _) = db.get("papers", p.id, Backend::Hardware).unwrap();
         assert_eq!(sw, Some(encode(&p)));
         assert_eq!(sw, hw);
     }
@@ -1165,8 +1100,8 @@ mod tests {
         let cfg = PubGraphConfig { papers: 5000, refs: 5000, seed: 5 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 2015 }];
-        let sw = db.scan("papers", &rules, ExecMode::Software).unwrap();
-        let hw = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        let sw = db.scan("papers", &rules, Backend::Software).unwrap();
+        let hw = db.scan("papers", &rules, Backend::Hardware).unwrap();
         assert_eq!(sw.records, hw.records);
         assert!(sw.count > 0);
         // Oracle cross-check against the generator.
@@ -1184,7 +1119,7 @@ mod tests {
         p.year = 1900;
         db.put("papers", encode(&p)).unwrap();
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 5 /* lt */, value: 1950 }];
-        let s = db.scan("papers", &rules, ExecMode::Software).unwrap();
+        let s = db.scan("papers", &rules, Backend::Software).unwrap();
         assert_eq!(s.count, 1);
         assert_eq!(Paper::decode(&s.records).year, 1900);
         assert_eq!(Paper::decode(&s.records).id, p.id);
@@ -1199,7 +1134,7 @@ mod tests {
         db.create_table("papers", TableConfig::new(pe)).unwrap();
         let cfg = PubGraphConfig { papers: 2000, refs: 2000, seed: 3 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
-        let s = db.range_scan("papers", 100, 200, ExecMode::Hardware).unwrap();
+        let s = db.range_scan("papers", 100, 200, Backend::Hardware).unwrap();
         assert_eq!(s.count, 100);
         for rec in s.records.chunks_exact(80) {
             let p = Paper::decode(rec);
@@ -1214,11 +1149,11 @@ mod tests {
         let cfg = PubGraphConfig { papers: 100, refs: 100, seed: 3 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         assert!(matches!(
-            db.range_scan("papers", 10, 20, ExecMode::Hardware),
+            db.range_scan("papers", 10, 20, Backend::Hardware),
             Err(NkvError::Config(_))
         ));
         // ... but software NDP has no stage limit.
-        let s = db.range_scan("papers", 10, 20, ExecMode::Software).unwrap();
+        let s = db.range_scan("papers", 10, 20, Backend::Software).unwrap();
         assert_eq!(s.count, 10);
     }
 
@@ -1231,8 +1166,8 @@ mod tests {
             db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         }
         let rules = [FilterRule { lane: paper_lanes::VENUE, op_code: 5, value: 100 }];
-        let a = ours.scan("papers", &rules, ExecMode::Hardware).unwrap();
-        let b = base.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        let a = ours.scan("papers", &rules, Backend::Hardware).unwrap();
+        let b = base.scan("papers", &rules, Backend::Hardware).unwrap();
         assert_eq!(a.records, b.records);
         assert!(a.count > 0);
     }
@@ -1240,7 +1175,7 @@ mod tests {
     #[test]
     fn unknown_table_and_bad_record_are_errors() {
         let mut db = paper_db(1, PeVariant::Generated);
-        assert!(matches!(db.get("nope", 1, ExecMode::Software), Err(NkvError::UnknownTable(_))));
+        assert!(matches!(db.get("nope", 1, Backend::Software), Err(NkvError::UnknownTable(_))));
         assert!(matches!(
             db.put("papers", vec![0u8; 10]),
             Err(NkvError::RecordSizeMismatch { expected: 80, got: 10, .. })
@@ -1283,8 +1218,8 @@ typedef struct {
                 db.enable_cache(8 << 20);
             }
             db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
-            let cold = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
-            let warm = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+            let cold = db.scan("papers", &rules, Backend::Hardware).unwrap();
+            let warm = db.scan("papers", &rules, Backend::Hardware).unwrap();
             assert_eq!(cold.records, warm.records);
             (cold.records, warm.report.sim_ns, db.cache_stats())
         };
@@ -1320,7 +1255,7 @@ typedef struct {
             if i % 300 == 299 {
                 // Scans interleaved with the PUT churn populate the
                 // cache while compactions retire SSTs under it.
-                let s = db.scan("papers", &rules, ExecMode::Software).unwrap();
+                let s = db.scan("papers", &rules, Backend::Software).unwrap();
                 assert_eq!(s.count as usize, model.len(), "cache must never serve stale blocks");
             }
         }
@@ -1333,7 +1268,7 @@ typedef struct {
         let mut db = paper_db(1, PeVariant::Generated);
         let rules = [FilterRule { lane: 99, op_code: 2, value: 0 }];
         assert!(matches!(
-            db.scan("papers", &rules, ExecMode::Software),
+            db.scan("papers", &rules, Backend::Software),
             Err(NkvError::InvalidLane { lane: 99, .. })
         ));
     }
@@ -1355,7 +1290,7 @@ typedef struct {
         assert!(sizes[1] > 0, "compaction should have populated C2: {sizes:?}");
         // All records remain reachable.
         let p = PaperGen::paper_at(&gen_cfg, 999);
-        let (got, _) = db.get("papers", p.id, ExecMode::Software).unwrap();
+        let (got, _) = db.get("papers", p.id, Backend::Software).unwrap();
         assert_eq!(got, Some(encode(&p)));
     }
 
@@ -1366,9 +1301,9 @@ typedef struct {
         let cfg = PubGraphConfig { papers: 2000, refs: 2000, seed: 6 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         let p = PaperGen::paper_at(&cfg, 10);
-        db.get("papers", p.id, ExecMode::Hardware).unwrap();
+        db.get("papers", p.id, Backend::Hardware).unwrap();
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 2010 }];
-        db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        db.scan("papers", &rules, Backend::Hardware).unwrap();
 
         let stats = db.device_stats();
         let get = stats.metrics.op(crate::metrics::OpKind::Get);
@@ -1409,7 +1344,7 @@ typedef struct {
         let cfg = PubGraphConfig { papers: 2000, refs: 2000, seed: 6 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 2010 }];
-        db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        db.scan("papers", &rules, Backend::Hardware).unwrap();
         let stats = db.device_stats();
         assert!(stats.dropped_spans > 0, "tiny ring must report drops");
         let text = format!("{stats}");
@@ -1422,7 +1357,7 @@ typedef struct {
         let mut roomy = paper_db(1, PeVariant::Generated);
         roomy.enable_observability(1 << 20);
         roomy.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
-        roomy.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        roomy.scan("papers", &rules, Backend::Hardware).unwrap();
         let clean = roomy.device_stats();
         assert_eq!(clean.dropped_spans, 0);
         assert!(!format!("{clean}").contains("dropped_spans"));
@@ -1441,7 +1376,7 @@ typedef struct {
                 db.enable_observability(4096);
             }
             db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
-            let s = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+            let s = db.scan("papers", &rules, Backend::Hardware).unwrap();
             (s.records, s.report.sim_ns, db.clock())
         };
         assert_eq!(run(false), run(true));
@@ -1476,16 +1411,75 @@ typedef struct {
         let cfg = PubGraphConfig { papers: 500, refs: 500, seed: 8 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode(&p))).unwrap();
         let t0 = db.clock();
-        db.get("papers", 5, ExecMode::Software).unwrap();
+        db.get("papers", 5, Backend::Software).unwrap();
         let t1 = db.clock();
         db.scan(
             "papers",
             &[FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 1990 }],
-            ExecMode::Hardware,
+            Backend::Hardware,
         )
         .unwrap();
         let t2 = db.clock();
         assert!(t0 < t1 && t1 < t2);
+    }
+
+    /// Every SST id on the device, sorted.
+    fn sst_ids(db: &NkvDb) -> Vec<u64> {
+        let mut ids: Vec<u64> =
+            db.tables.values().flat_map(|t| t.lsm.all_ssts()).map(|s| s.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Regression: every table numbered its SSTs from 1 and every bulk
+    /// load restarted at 1_000_001, so the block cache (keyed on
+    /// `(sst_id, block)`) could serve one table's blocks to another.
+    /// Ids must be device-unique across tables, repeated bulk loads and
+    /// recovery, and the first table keeps its bare ids.
+    #[test]
+    fn sst_ids_are_device_unique_across_tables_bulk_loads_and_recovery() {
+        let m = parse(PAPER_REF_SPEC).unwrap();
+        let cfg = TableConfig::new(elaborate(&m, PAPER_PE).unwrap());
+        let configs: Vec<(String, TableConfig)> =
+            ["a", "b", "c"].iter().map(|n| (n.to_string(), cfg.clone())).collect();
+        let gen = PubGraphConfig { papers: 1000, refs: 0, seed: 5 };
+        let load = |db: &mut NkvDb, table: &str, range: std::ops::Range<u64>| {
+            db.bulk_load(table, range.map(|i| encode(&PaperGen::paper_at(&gen, i)))).unwrap();
+        };
+        let flush_one = |db: &mut NkvDb, table: &str, i: u64| {
+            db.put(table, encode(&PaperGen::paper_at(&gen, i))).unwrap();
+            db.flush(table).unwrap();
+        };
+        let mut db = NkvDb::default_db();
+        for (name, cfg) in &configs {
+            db.create_table(name, cfg.clone()).unwrap();
+        }
+        load(&mut db, "a", 0..300);
+        load(&mut db, "a", 300..600);
+        flush_one(&mut db, "a", 5);
+        load(&mut db, "b", 0..300);
+        flush_one(&mut db, "b", 5);
+        assert_eq!(
+            db.tables["a"].lsm.all_ssts().iter().map(|s| s.id).collect::<Vec<_>>(),
+            vec![1, 1_000_001, 1_000_002],
+            "the first table keeps its ids"
+        );
+        let before = sst_ids(&db);
+        assert!(before.windows(2).all(|w| w[0] < w[1]), "unique before recovery: {before:?}");
+
+        db.persist().unwrap();
+        let mut fresh = CosmosPlatform::default_platform();
+        fresh.flash = db.platform_mut().flash.clone();
+        fresh.flash.reboot();
+        let mut db = NkvDb::recover(fresh, configs).unwrap();
+        assert_eq!(sst_ids(&db), before, "recovery keeps every id");
+        for table in ["a", "b", "c"] {
+            load(&mut db, table, 600..700);
+            flush_one(&mut db, table, 800);
+        }
+        let after = sst_ids(&db);
+        assert_eq!(after.len(), before.len() + 6);
+        assert!(after.windows(2).all(|w| w[0] < w[1]), "unique after recovery: {after:?}");
     }
 
     /// Regression: `maintain_at` used to `expect` the table's presence,

@@ -1,16 +1,15 @@
 //! The plan-driven execution engine.
 //!
 //! Every backend of a [`crate::plan::PhysicalPlan`] — software,
-//! hardware, hybrid, and the parallel-PE scan — runs through the three
-//! entry points here ([`run_scan`], [`run_scan_aggregate`],
-//! [`run_get`]); `exec.rs` keeps only the legacy-compatible wrappers.
+//! hardware, hybrid, and the parallel-PE scan — runs through the four
+//! entry points here (`run_scan`, `run_scan_aggregate`, `run_get`,
+//! `run_batched_get`), which `NkvDb::execute_at` alone dispatches to.
 //!
 //! The shared plumbing all of them need — retrying flash reads with
 //! backoff, claiming a healthy PE under the watchdog/degradation
 //! policy, dispatching one block job to a PE (ARM register
 //! configuration + PE streaming + DRAM traffic), and falling back to
-//! the ARM oracle when no PE is available — lives here exactly once;
-//! `exec.rs` used to carry three hand-rolled copies.
+//! the ARM oracle when no PE is available — lives here exactly once.
 //!
 //! # Parallel scan
 //!

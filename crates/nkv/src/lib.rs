@@ -26,8 +26,7 @@
 //!   pushdown into PE registers, software residual filters, parallel PE
 //!   job streams) with an `EXPLAIN` rendering;
 //! * [`exec`] — per-table executor state ([`exec::TableExec`]) and the
-//!   legacy `(rules, mode)` entry points, now thin wrappers that lower
-//!   into plans;
+//!   [`SimReport`] every operation returns;
 //! * [`engine`] — the plan-driven execution loops: block-parallel
 //!   SCAN/GET over flash channels with software (ARM) or hardware (PE)
 //!   filtering — serial or over N parallel per-channel-group job
@@ -36,7 +35,8 @@
 //!   histograms, throughput counters and per-op time breakdowns
 //!   attributed from the platform's trace spans;
 //! * [`db`] — the [`db::NkvDb`] facade with PUT/GET/DELETE/SCAN/
-//!   RANGE_SCAN over multiple tables;
+//!   RANGE_SCAN over multiple tables; every read is lowered and run
+//!   through one crate-private `execute_at`;
 //! * [`queue`] — the multi-tenant NVMe queue engine:
 //!   [`db::NkvDb::run_queued`] keeps a window of commands in flight per
 //!   client over the platform's submission/completion queues, with
@@ -85,10 +85,14 @@ pub use cost::{AdaptState, CostInputs, CostReport, OpClass, TierCost, PROMOTE_AF
 pub use db::{HealthReport, MultiGetResults, NkvDb, ScanSummary, TableConfig};
 pub use engine::ParallelScanStats;
 pub use error::{NkvError, NkvResult};
-pub use exec::{ExecMode, HealthCounters, ResilienceConfig, SimReport};
+pub use exec::{HealthCounters, ResilienceConfig, SimReport};
 pub use metrics::{Breakdown, DeviceStats, LatencyHistogram, MetricsRegistry, OpKind, OpMetrics};
 pub use plan::{Backend, LogicalOp, PhysOp, PhysicalPlan, PlanCaps, PlanOutcome};
 pub use queue::{ClientScript, CommandRecord, Priority, QueueRunConfig, QueueRunReport, QueuedOp};
+
+/// The execution tier's former name, kept as an alias of [`Backend`]
+/// so code written against it still compiles.
+pub type ExecMode = Backend;
 
 /// Build an aggregation accumulator for a table's processor (thin
 /// re-export so `exec` and `db` share one constructor).

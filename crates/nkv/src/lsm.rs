@@ -45,6 +45,15 @@ impl Default for LsmConfig {
     }
 }
 
+/// SST ids are device-unique, because the device block cache keys on
+/// them: `namespace << SST_ID_NAMESPACE_SHIFT | local`, where the
+/// namespace is the table's creation index on its device (0 for the
+/// first table, whose ids are the bare local ids). Flush and compaction
+/// ids count up from local 1, bulk-load ids from `BULK_SST_ID_BASE + 1`,
+/// across every bulk load into the tree.
+const SST_ID_NAMESPACE_SHIFT: u32 = 40;
+const BULK_SST_ID_BASE: u64 = 1_000_000;
+
 /// One LSM tree (one table / column family).
 pub struct LsmTree {
     table: String,
@@ -55,6 +64,7 @@ pub struct LsmTree {
     /// non-overlapping runs sorted by key range.
     levels: Vec<Vec<SstMeta>>,
     next_sst_id: u64,
+    next_bulk_sst_id: u64,
     seed: u64,
     /// SST ids retired since the last [`Self::take_retired`] drain:
     /// compaction inputs whose pages may still sit in the device block
@@ -74,9 +84,30 @@ impl LsmTree {
             memtable: MemTable::new(seed),
             levels: vec![Vec::new(); max_levels],
             next_sst_id: 1,
+            next_bulk_sst_id: BULK_SST_ID_BASE + 1,
             seed,
             retired: Vec::new(),
         }
+    }
+
+    /// Move an empty tree's SST ids into `namespace` (see
+    /// [`SST_ID_NAMESPACE_SHIFT`]).
+    pub(crate) fn set_id_namespace(&mut self, namespace: u64) {
+        let base = namespace << SST_ID_NAMESPACE_SHIFT;
+        self.next_sst_id = base + 1;
+        self.next_bulk_sst_id = base + BULK_SST_ID_BASE + 1;
+    }
+
+    /// The namespace this tree's SST ids live in.
+    pub(crate) fn id_namespace(&self) -> u64 {
+        self.next_sst_id >> SST_ID_NAMESPACE_SHIFT
+    }
+
+    /// The next bulk-load SST id.
+    pub(crate) fn alloc_bulk_sst_id(&mut self) -> u64 {
+        let id = self.next_bulk_sst_id;
+        self.next_bulk_sst_id += 1;
+        id
     }
 
     /// Fixed record size of this table.
@@ -299,13 +330,16 @@ impl LsmTree {
         recovered: Vec<(u32, SstMeta)>,
     ) -> Self {
         let mut tree = Self::new(table, record_bytes, cfg, seed);
-        let mut max_id = 0;
+        if let Some((_, first)) = recovered.first() {
+            tree.set_id_namespace(first.id >> SST_ID_NAMESPACE_SHIFT);
+        }
         for (level, meta) in recovered {
-            max_id = max_id.max(meta.id);
+            let bulk = meta.id & ((1 << SST_ID_NAMESPACE_SHIFT) - 1) > BULK_SST_ID_BASE;
+            let next = if bulk { &mut tree.next_bulk_sst_id } else { &mut tree.next_sst_id };
+            *next = (*next).max(meta.id + 1);
             let level = (level as usize).min(tree.levels.len() - 1);
             tree.levels[level].push(meta);
         }
-        tree.next_sst_id = max_id + 1;
         tree
     }
 

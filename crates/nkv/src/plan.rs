@@ -28,7 +28,6 @@
 //!   serial dispatch).
 
 use crate::error::{NkvError, NkvResult};
-use crate::exec::ExecMode;
 use ndp_pe::oracle::{FilterRule, OpTable};
 
 /// What the host asked for, before any execution decision.
@@ -57,15 +56,6 @@ pub enum Backend {
     /// PE filtering for the first `stages` predicates, ARM post-filter
     /// for the rest.
     Hybrid,
-}
-
-impl From<ExecMode> for Backend {
-    fn from(mode: ExecMode) -> Self {
-        match mode {
-            ExecMode::Software => Backend::Software,
-            ExecMode::Hardware => Backend::Hardware,
-        }
-    }
 }
 
 impl Backend {
@@ -127,9 +117,10 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// Lower `op` for a table with capabilities `caps`. Validation
-    /// errors are exactly the legacy `NkvDb::scan`/`scan_aggregate`
-    /// errors so the plan path is a drop-in replacement.
+    /// Lower `op` for a table with capabilities `caps`. Every read runs
+    /// through here (`NkvDb::execute_at`), so validation errors are the
+    /// same whichever typed method, queue command or cluster fan-out
+    /// issued the op.
     pub fn lower(
         op: &LogicalOp,
         backend: Backend,
@@ -337,46 +328,6 @@ impl PhysicalPlan {
             }
         }
         s
-    }
-
-    /// Legacy-compatibility constructor used by the `exec` wrappers:
-    /// the whole chain goes to the primary path unvalidated, exactly
-    /// like the pre-plan `exec::scan` contract (callers that bypassed
-    /// `NkvDb` never got lane/stage validation there either).
-    pub(crate) fn legacy_scan(rules: &[FilterRule], mode: ExecMode, parallel_pes: usize) -> Self {
-        let backend = Backend::from(mode);
-        PhysicalPlan {
-            op: PhysOp::FilterScan,
-            backend,
-            pushed: rules.to_vec(),
-            residual: Vec::new(),
-            parallel_pes: if backend == Backend::Software { 0 } else { parallel_pes },
-        }
-    }
-
-    pub(crate) fn legacy_scan_aggregate(
-        rules: &[FilterRule],
-        agg: ndp_ir::AggOp,
-        lane: u32,
-        mode: ExecMode,
-    ) -> Self {
-        PhysicalPlan {
-            op: PhysOp::AggregateScan { agg, lane },
-            backend: Backend::from(mode),
-            pushed: rules.to_vec(),
-            residual: Vec::new(),
-            parallel_pes: 0,
-        }
-    }
-
-    pub(crate) fn legacy_get(key: u64, mode: ExecMode) -> Self {
-        PhysicalPlan {
-            op: PhysOp::PointLookup { key },
-            backend: Backend::from(mode),
-            pushed: Vec::new(),
-            residual: Vec::new(),
-            parallel_pes: 0,
-        }
     }
 }
 

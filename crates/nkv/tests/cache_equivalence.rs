@@ -13,9 +13,9 @@
 use cosmos_sim::faults::FaultPlan;
 use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
-use ndp_workload::spec::{paper_lanes, ref_lanes, PAPER_PE, PAPER_REF_SPEC};
+use ndp_workload::spec::{paper_lanes, ref_lanes, PAPER_PE, PAPER_REF_SPEC, REF_PE};
 use ndp_workload::{PaperGen, PubGraphConfig, RefGen};
-use nkv::{Backend, ExecMode, LogicalOp, NkvDb, PlanOutcome, TableConfig};
+use nkv::{Backend, LogicalOp, NkvDb, PlanOutcome, TableConfig};
 
 const TABLE: &str = "papers";
 /// The default device budget the acceptance gate measures at.
@@ -34,8 +34,13 @@ fn weathers() -> Vec<(&'static str, Option<FaultPlan>)> {
 }
 
 /// A bulk-loaded papers table (4 PEs) with ~10 % PUT churn on top, the
-/// cache optionally enabled before any data lands.
-fn seeded_db(n_records: u64, cache: bool) -> (NkvDb, PubGraphConfig) {
+/// cache optionally enabled before any data lands. With `two_tables`
+/// the papers data arrives in two bulk loads and a bulk-loaded refs
+/// table shares the device, so SST ids must be unique across tables
+/// and bulk loads or the cache hands one SST's blocks to another's
+/// reads; a refs scan right after a papers scan is checked against the
+/// generator.
+fn seeded_db(n_records: u64, cache: bool, two_tables: bool) -> (NkvDb, PubGraphConfig) {
     let module = ndp_spec::parse(PAPER_REF_SPEC).expect("reference spec parses");
     let pe = ndp_ir::elaborate(&module, PAPER_PE).expect("paper PE elaborates");
     let mut db = NkvDb::default_db();
@@ -47,21 +52,44 @@ fn seeded_db(n_records: u64, cache: bool) -> (NkvDb, PubGraphConfig) {
     db.create_table(TABLE, cfg).expect("table");
     let mut wl = PubGraphConfig::scaled(1.0 / 4096.0);
     wl.papers = n_records;
-    db.bulk_load(
-        TABLE,
-        (0..wl.papers).map(|i| {
-            let mut rec = Vec::with_capacity(80);
-            PaperGen::paper_at(&wl, i).encode_into(&mut rec);
-            rec
-        }),
-    )
-    .expect("bulk load");
+    wl.refs = 20_000;
+    let paper = |i| {
+        let mut rec = Vec::with_capacity(80);
+        PaperGen::paper_at(&wl, i).encode_into(&mut rec);
+        rec
+    };
+    let split = if two_tables { wl.papers / 2 } else { wl.papers };
+    db.bulk_load(TABLE, (0..split).map(paper)).expect("bulk load");
+    if split < wl.papers {
+        db.bulk_load(TABLE, (split..wl.papers).map(paper)).expect("second bulk load");
+    }
     for i in (0..wl.papers).step_by(11) {
         let mut p = PaperGen::paper_at(&wl, i);
         p.n_cits = p.n_cits.wrapping_add(1_000);
         let mut rec = Vec::with_capacity(80);
         p.encode_into(&mut rec);
         db.put(TABLE, rec).expect("put");
+    }
+    if two_tables {
+        let mut refs = TableConfig::new(ndp_ir::elaborate(&module, REF_PE).expect("ref PE"));
+        refs.unique_keys = false;
+        db.create_table("refs", refs).expect("refs table");
+        let rows = RefGen::new(wl).take(wl.refs as usize);
+        db.bulk_load(
+            "refs",
+            rows.map(|r| {
+                let mut rec = Vec::with_capacity(20);
+                r.encode_into(&mut rec);
+                rec
+            }),
+        )
+        .expect("refs bulk load");
+        let want = RefGen::new(wl).take(wl.refs as usize).filter(|r| r.year == 1980).count();
+        let rules = [FilterRule { lane: ref_lanes::YEAR, op_code: 2 /* eq */, value: 1980 }];
+        db.scan(TABLE, &[year_rule(1900)], Backend::Software).expect("papers scan");
+        let refs = db.scan("refs", &rules, Backend::Software).expect("refs scan");
+        assert!(want > 0, "the refs predicate must match something");
+        assert_eq!(refs.count as usize, want, "refs scan after a papers scan (cache={cache})");
     }
     (db, wl)
 }
@@ -77,11 +105,11 @@ fn read_mix(db: &mut NkvDb, wl: &PubGraphConfig) -> Vec<u8> {
     let mut out = Vec::new();
     let rules = [year_rule(2005)];
     for _round in 0..2 {
-        let sw = db.scan(TABLE, &rules, ExecMode::Software).expect("sw scan");
+        let sw = db.scan(TABLE, &rules, Backend::Software).expect("sw scan");
         out.extend_from_slice(&sw.records);
         for streams in [0usize, 2] {
             db.set_parallel_pes(TABLE, streams).expect("4 PEs configured");
-            let hw = db.scan(TABLE, &rules, ExecMode::Hardware).expect("hw scan");
+            let hw = db.scan(TABLE, &rules, Backend::Hardware).expect("hw scan");
             out.extend_from_slice(&hw.records);
         }
         db.set_parallel_pes(TABLE, 0).expect("reset");
@@ -98,7 +126,7 @@ fn read_mix(db: &mut NkvDb, wl: &PubGraphConfig) -> Vec<u8> {
         }
         for i in [0, wl.papers / 3, wl.papers - 1] {
             let key = PaperGen::paper_at(wl, i).id;
-            for mode in [ExecMode::Software, ExecMode::Hardware] {
+            for mode in [Backend::Software, Backend::Hardware] {
                 let (rec, _) = db.get(TABLE, key, mode).expect("get");
                 out.extend_from_slice(&rec.expect("loaded key must be found"));
             }
@@ -109,9 +137,12 @@ fn read_mix(db: &mut NkvDb, wl: &PubGraphConfig) -> Vec<u8> {
 
 #[test]
 fn read_mix_is_byte_identical_with_and_without_cache_across_weathers() {
-    for (name, plan) in weathers() {
-        let (mut plain, wl) = seeded_db(8_000, false);
-        let (mut cached, _) = seeded_db(8_000, true);
+    let runs =
+        [false, true].into_iter().flat_map(|two| weathers().into_iter().map(move |w| (two, w)));
+    for (two_tables, (weather, plan)) in runs {
+        let name = format!("{weather}, two_tables={two_tables}");
+        let (mut plain, wl) = seeded_db(8_000, false, two_tables);
+        let (mut cached, _) = seeded_db(8_000, true, two_tables);
         if let Some(p) = &plan {
             plain.platform_mut().install_faults(p);
             cached.platform_mut().install_faults(p);
@@ -129,11 +160,11 @@ fn read_mix_is_byte_identical_with_and_without_cache_across_weathers() {
 
 #[test]
 fn warm_repeated_scans_reach_the_acceptance_hit_rate() {
-    let (mut db, _) = seeded_db(8_000, true);
+    let (mut db, _) = seeded_db(8_000, true, false);
     let rules = [year_rule(2000)];
     let mut first = None;
     for _ in 0..4 {
-        let s = db.scan(TABLE, &rules, ExecMode::Hardware).expect("hw scan");
+        let s = db.scan(TABLE, &rules, Backend::Hardware).expect("hw scan");
         let first = first.get_or_insert_with(|| s.records.clone());
         assert_eq!(&s.records, first, "every repetition returns the same bytes");
     }
@@ -172,7 +203,7 @@ fn interleaved_puts_compactions_and_scans_stay_coherent() {
         cached.put(TABLE, rec).expect("cached put");
         written += 1;
         if i % 250 == 249 {
-            let mode = if i % 500 == 499 { ExecMode::Hardware } else { ExecMode::Software };
+            let mode = if i % 500 == 499 { Backend::Hardware } else { Backend::Software };
             let a = plain.scan(TABLE, &rules, mode).expect("plain scan");
             let b = cached.scan(TABLE, &rules, mode).expect("cached scan");
             assert_eq!(a.records, b.records, "scan after {written} puts");
@@ -219,7 +250,7 @@ fn aggregates_are_identical_with_and_without_cache() {
     let mut cached = build(true);
     let rules = [FilterRule { lane: ref_lanes::YEAR, op_code: 4, value: 2000 }];
     for agg in [AggOp::Count, AggOp::Sum, AggOp::Min, AggOp::Max] {
-        for mode in [ExecMode::Software, ExecMode::Hardware] {
+        for mode in [Backend::Software, Backend::Hardware] {
             for _round in 0..2 {
                 let a = plain.scan_aggregate("refs", &rules, agg, ref_lanes::YEAR, mode);
                 let b = cached.scan_aggregate("refs", &rules, agg, ref_lanes::YEAR, mode);
@@ -241,22 +272,22 @@ fn hostile_pe_hang_storm_degrades_gracefully_on_every_path() {
     // `expect` when no PE was selectable. It must degrade HW -> SW and
     // keep returning correct bytes — cached and uncached alike.
     for cache in [false, true] {
-        let (mut db, wl) = seeded_db(4_000, cache);
+        let (mut db, wl) = seeded_db(4_000, cache, false);
         db.platform_mut().install_faults(&FaultPlan {
             seed: 41,
             pe_hang_p: 1.0,
             ..FaultPlan::default()
         });
-        let want = db.scan(TABLE, &[year_rule(1900)], ExecMode::Software).expect("sw scan");
+        let want = db.scan(TABLE, &[year_rule(1900)], Backend::Software).expect("sw scan");
         // Serial and parallel hardware dispatch: every PE hangs on its
         // first claim, is retired, and the scans finish on the ARM.
         for streams in [0usize, 2, 4] {
             db.set_parallel_pes(TABLE, streams).expect("4 PEs configured");
-            let hw = db.scan(TABLE, &[year_rule(1900)], ExecMode::Hardware).expect("degraded scan");
+            let hw = db.scan(TABLE, &[year_rule(1900)], Backend::Hardware).expect("degraded scan");
             assert_eq!(hw.records, want.records, "{streams} streams, cache={cache}");
         }
         let key = PaperGen::paper_at(&wl, wl.papers / 2).id;
-        let (rec, _) = db.get(TABLE, key, ExecMode::Hardware).expect("degraded get");
+        let (rec, _) = db.get(TABLE, key, Backend::Hardware).expect("degraded get");
         assert!(rec.is_some(), "degraded GET still finds the key");
         let health = db.table_health(TABLE).expect("table exists");
         assert!(health.watchdog_trips > 0, "the storm must trip the watchdog");

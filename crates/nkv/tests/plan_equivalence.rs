@@ -19,7 +19,7 @@ use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, ref_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{PaperGen, PubGraphConfig, RefGen};
-use nkv::{Backend, ExecMode, LogicalOp, NkvDb, PlanOutcome, TableConfig};
+use nkv::{Backend, LogicalOp, NkvDb, OpKind, PlanOutcome, TableConfig};
 
 const TABLE: &str = "papers";
 
@@ -120,7 +120,7 @@ fn key_sorted(records: &[u8]) -> Vec<u8> {
 fn check_scan_plans(db: &mut NkvDb, model: &Model, rules: &[FilterRule], hw_legal: bool) {
     let (want, want_count) = model_scan(model, rules);
 
-    let sw = db.scan(TABLE, rules, ExecMode::Software).expect("software scan");
+    let sw = db.scan(TABLE, rules, Backend::Software).expect("software scan");
     assert_eq!(key_sorted(&sw.records), want, "software scan vs model");
     assert_eq!(sw.count, want_count);
 
@@ -134,13 +134,13 @@ fn check_scan_plans(db: &mut NkvDb, model: &Model, rules: &[FilterRule], hw_lega
     }
 
     if !hw_legal {
-        assert!(db.scan(TABLE, rules, ExecMode::Hardware).is_err(), "hardware must reject");
+        assert!(db.scan(TABLE, rules, Backend::Hardware).is_err(), "hardware must reject");
         return;
     }
     // Legacy serial dispatch first, then every parallel stream count.
     for streams in [0usize, 1, 2, 3, 4] {
         db.set_parallel_pes(TABLE, streams).expect("4 PEs configured");
-        let hw = db.scan(TABLE, rules, ExecMode::Hardware).expect("hardware scan");
+        let hw = db.scan(TABLE, rules, Backend::Hardware).expect("hardware scan");
         assert_eq!(hw.records, sw.records, "hardware ({streams} streams) vs software, raw order");
         assert_eq!(hw.count, want_count, "{streams} streams");
         let stats = db.parallel_scan_stats(TABLE).expect("table exists");
@@ -215,8 +215,8 @@ fn gets_match_the_model_on_every_backend() {
     keys.push(u64::MAX); // guaranteed miss
     for key in keys {
         let want = model.get(&key).cloned();
-        let (sw, _) = db.get(TABLE, key, ExecMode::Software).expect("sw get");
-        let (hw, _) = db.get(TABLE, key, ExecMode::Hardware).expect("hw get");
+        let (sw, _) = db.get(TABLE, key, Backend::Software).expect("sw get");
+        let (hw, _) = db.get(TABLE, key, Backend::Hardware).expect("hw get");
         assert_eq!(sw, want, "software GET {key} vs model");
         assert_eq!(hw, want, "hardware GET {key} vs model");
         for backend in [Backend::Software, Backend::Hardware, Backend::Hybrid] {
@@ -292,9 +292,9 @@ fn aggregate_plans_match_the_model_and_each_other() {
         (AggOp::Max, ref_lanes::YEAR, *matched.iter().max().unwrap()),
     ] {
         let (sw, sw_any, _) =
-            db.scan_aggregate("refs", &rules, agg, lane, ExecMode::Software).expect("sw agg");
+            db.scan_aggregate("refs", &rules, agg, lane, Backend::Software).expect("sw agg");
         let (hw, hw_any, _) =
-            db.scan_aggregate("refs", &rules, agg, lane, ExecMode::Hardware).expect("hw agg");
+            db.scan_aggregate("refs", &rules, agg, lane, Backend::Hardware).expect("hw agg");
         assert_eq!(sw, want, "software {agg:?} vs model");
         assert_eq!(hw, want, "hardware {agg:?} vs model");
         assert!(sw_any && hw_any);
@@ -307,4 +307,78 @@ fn aggregate_plans_match_the_model_and_each_other() {
             other => panic!("aggregate must produce an aggregate outcome, got {other:?}"),
         }
     }
+}
+
+/// The clock and every per-op metric of two twin devices must agree.
+fn assert_twins(typed: &NkvDb, planned: &NkvDb, ctx: &str) {
+    assert_eq!(typed.clock(), planned.clock(), "{ctx}: device clock");
+    let (a, b) = (typed.device_stats().metrics, planned.device_stats().metrics);
+    for kind in OpKind::ALL {
+        assert_eq!(a.op(kind), b.op(kind), "{ctx}: {} metrics", kind.name());
+    }
+}
+
+/// Adapter ≡ `execute`: every typed read is a thin adapter over
+/// [`NkvDb::execute`], so on twin fresh devices the typed call and
+/// `execute` with the equivalent [`LogicalOp`] return identical bytes
+/// and an identical [`SimReport`](nkv::SimReport), and advance the
+/// clock and the per-op metrics identically — on every backend,
+/// including the ones an op fails to lower on.
+#[test]
+fn typed_reads_are_execute_to_the_nanosecond() {
+    let (mut typed, _, wl) = seeded_db(6, 6_000);
+    let (mut planned, _, _) = seeded_db(6, 6_000);
+    typed.enable_observability(1 << 16);
+    planned.enable_observability(1 << 16);
+    let key = |i: u64| PaperGen::paper_at(&wl, i).id;
+    let rules = vec![year_rule(2008)];
+    let (lo, hi) = (key(wl.papers / 4), key(wl.papers / 2));
+    for backend in [Backend::Software, Backend::Hardware, Backend::Hybrid] {
+        for k in [key(17), u64::MAX] {
+            let a = typed.get(TABLE, k, backend);
+            let b = planned.execute(TABLE, &LogicalOp::Get { key: k }, backend).map(|o| match o {
+                PlanOutcome::Point { record, report } => (record, report),
+                other => panic!("GET lowered to {other:?}"),
+            });
+            assert_eq!(a, b, "get({k}) on {backend:?}");
+            assert_twins(&typed, &planned, &format!("get({k}) on {backend:?}"));
+        }
+        for keys in [vec![key(3), key(900), u64::MAX, key(40)], vec![key(5)]] {
+            let a = typed.multi_get(TABLE, &keys, backend);
+            let op = LogicalOp::MultiGet { keys: keys.clone() };
+            let b = planned.execute(TABLE, &op, backend).map(|o| match o {
+                PlanOutcome::Batch { results, report } => (results, report),
+                PlanOutcome::Point { record, report } => (vec![Ok(record)], report),
+                other => panic!("batched GET lowered to {other:?}"),
+            });
+            assert_eq!(a, b, "multi_get({} keys) on {backend:?}", keys.len());
+            assert_twins(&typed, &planned, &format!("multi_get on {backend:?}"));
+        }
+        let scans = [
+            (typed.scan(TABLE, &rules, backend), LogicalOp::Scan { rules: rules.clone() }),
+            (typed.range_scan(TABLE, lo, hi, backend), LogicalOp::RangeScan { lo, hi }),
+        ];
+        for (a, op) in scans {
+            let a = a.map(|s| (s.records, s.count, s.report));
+            let b = planned.execute(TABLE, &op, backend).map(|o| match o {
+                PlanOutcome::Records { records, count, report } => (records, count, report),
+                other => panic!("scan lowered to {other:?}"),
+            });
+            assert_eq!(a, b, "{op:?} on {backend:?}");
+        }
+        assert_twins(&typed, &planned, &format!("scans on {backend:?}"));
+        let a = typed.scan_aggregate(TABLE, &rules, AggOp::Count, paper_lanes::YEAR, backend);
+        let op = LogicalOp::ScanAggregate {
+            rules: rules.clone(),
+            agg: AggOp::Count,
+            lane: paper_lanes::YEAR,
+        };
+        let b = planned.execute(TABLE, &op, backend).map(|o| match o {
+            PlanOutcome::Aggregate { value, any, report } => (value, any, report),
+            other => panic!("aggregate lowered to {other:?}"),
+        });
+        assert_eq!(a, b, "scan_aggregate on {backend:?}");
+        assert_twins(&typed, &planned, &format!("scan_aggregate on {backend:?}"));
+    }
+    assert!(typed.device_stats().metrics.op(OpKind::Scan).ops > 0, "the sweep ran scans");
 }

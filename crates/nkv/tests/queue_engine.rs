@@ -20,7 +20,7 @@
 
 use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{PaperGen, PubGraphConfig, SplitMix64};
-use nkv::{ClientScript, ExecMode, NkvDb, Priority, QueueRunConfig, QueuedOp, TableConfig};
+use nkv::{Backend, ClientScript, NkvDb, Priority, QueueRunConfig, QueuedOp, TableConfig};
 
 const TABLE: &str = "papers";
 /// ~1 MB of records → a whole-table SCAN streams ~30 blocks (several
@@ -100,7 +100,7 @@ fn depth_one_single_client_equals_the_serial_path() {
     // Serial reference: one GET at a time through the public API.
     let mut serial: Vec<(Option<Vec<u8>>, u64)> = Vec::new();
     for &k in &keys {
-        let (rec, report) = serial_db.get(TABLE, k, ExecMode::Hardware).expect("serial GET");
+        let (rec, report) = serial_db.get(TABLE, k, Backend::Hardware).expect("serial GET");
         serial.push((rec, report.sim_ns));
     }
 

@@ -12,7 +12,7 @@ use cosmos_sim::faults::FaultPlan;
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{PaperGen, PubGraphConfig};
-use nkv::{ExecMode, NkvDb, NkvError, TableConfig};
+use nkv::{Backend, NkvDb, NkvError, TableConfig};
 
 fn main() {
     let module = ndp_spec::parse(PAPER_REF_SPEC).unwrap();
@@ -35,7 +35,7 @@ fn main() {
 
     // A fault-free hardware scan is the reference answer.
     let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 2010 }];
-    let reference = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+    let reference = db.scan("papers", &rules, Backend::Hardware).unwrap();
     println!("reference HW scan: {} matches", reference.count);
 
     // --- Turn the weather bad: flaky reads, degrading pages, and a PE
@@ -47,7 +47,7 @@ fn main() {
         pe_hang_p: 1.0,         // watchdog retires the PE, blocks re-run on ARM
         ..FaultPlan::default()
     });
-    let degraded = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+    let degraded = db.scan("papers", &rules, Backend::Hardware).unwrap();
     assert_eq!(degraded.records, reference.records, "degradation must not change results");
     println!(
         "faulty   HW scan: {} matches (identical), {:.1}x slower simulated",
@@ -59,7 +59,7 @@ fn main() {
     // --- Read-repair: a couple more scans accumulate ECC-correction
     // counts, then degrading pages are relocated to fresh ones.
     for _ in 0..2 {
-        db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        db.scan("papers", &rules, Backend::Hardware).unwrap();
     }
     let repaired = db.read_repair(2).unwrap();
     let again = db.read_repair(2).unwrap();
@@ -68,7 +68,7 @@ fn main() {
     // --- The PE comes back after maintenance.
     db.platform_mut().clear_faults();
     db.reset_pes("papers").unwrap();
-    let healed = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+    let healed = db.scan("papers", &rules, Backend::Hardware).unwrap();
     assert_eq!(healed.records, reference.records);
     println!("after clear_faults + reset_pes: HW scan healthy again, {} matches", healed.count);
 
@@ -97,7 +97,7 @@ fn main() {
     fresh.flash.reboot();
     let table_cfg = TableConfig::new(ndp_ir::elaborate(&module, PAPER_PE).unwrap());
     let mut rec = NkvDb::recover(fresh, vec![("papers".into(), table_cfg)]).unwrap();
-    let survivors = rec.scan("papers", &rules, ExecMode::Hardware).unwrap();
+    let survivors = rec.scan("papers", &rules, Backend::Hardware).unwrap();
     assert_eq!(survivors.records, reference.records, "acknowledged state must survive the cut");
     println!(
         "rebooted + recovered from the surviving manifest slot: {} matches, \

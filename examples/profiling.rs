@@ -14,7 +14,7 @@ use ndp_pe::template::{pe_report_opts, PeObservability, PeVariant};
 use ndp_pe::{MemBus, Mmio, PeDevice, VecMem};
 use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{PaperGen, PubGraphConfig};
-use nkv::{ExecMode, NkvDb, TableConfig};
+use nkv::{Backend, NkvDb, TableConfig};
 
 /// `ge` in the standard operator set (ndp-ir encoding).
 const OP_GE: u32 = 4;
@@ -93,11 +93,11 @@ fn main() {
     .unwrap();
     for i in 0..8 {
         let p = PaperGen::paper_at(&gen_cfg, (i * 61) % gen_cfg.papers);
-        let (rec, _) = db.get("papers", p.id, ExecMode::Hardware).unwrap();
+        let (rec, _) = db.get("papers", p.id, Backend::Hardware).unwrap();
         assert!(rec.is_some());
     }
     let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: OP_GE, value: 2010 }];
-    let scan = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+    let scan = db.scan("papers", &rules, Backend::Hardware).unwrap();
     println!("\n=== Device stats after {} GETs + 1 SCAN ({} matches) ===", 8, scan.count);
     println!("{}", db.device_stats());
 

@@ -2,7 +2,8 @@
 # Full local gate: formatting, lints (deny warnings), the test suite
 # (including the golden-artifact snapshots and the plan-,
 # cache-equivalence, cluster-chaos, batched-GET and adaptive-planner
-# differential suites), the observability example (+ trace-JSON
+# differential suites), a perfbench build + smoke run, the
+# observability example (+ trace-JSON
 # validity), a fast-mode repro run
 # diffed against the committed reference output, a fixed-seed loadgen
 # smoke run (latency tail + parallel-PE sweep) diffed the same way, the
@@ -67,6 +68,16 @@ echo "==> adaptive planner equivalence: the cost-based tier choice never changes
 # picks (cold or promoted, clean or under fault weather, single device
 # or sharded cluster), the returned bytes must match every forced tier.
 cargo test -q --test adaptive_equivalence
+
+echo "==> perfbench builds against nkv's public API and passes a smoke run"
+# The two-clock benchmark is a workspace of its own, so the workspace
+# build above never compiles it; build it here and demand a correct,
+# failure-free one-workload run (its last stdout line is the JSON).
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+perf_last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload get-zipf --seed 101 --seconds 1 --trace 0 | tail -n 1)
+echo "$perf_last" | grep -q '"correct": true'
+echo "$perf_last" | grep -q '"failed": 0'
 
 echo "==> nkv hot paths carry typed errors, not unwraps"
 # The crate-level lint is the enforcement (the workspace clippy run

@@ -204,10 +204,15 @@ fn adaptive_gets_match_the_model_under_fault_weather() {
     let (reference, _) = build_db(400).0.scan_adaptive("papers", &rules).unwrap();
     for i in 0..40u64 {
         let key = 1 + (i * 11) % 400;
-        match db.get_adaptive("papers", key) {
-            Ok((rec, _, _)) => {
-                assert_eq!(rec, model.get(&key).cloned(), "get({key}) diverged under fault weather")
+        match db.execute_adaptive("papers", &LogicalOp::Get { key }) {
+            Ok((PlanOutcome::Point { record, .. }, _)) => {
+                assert_eq!(
+                    record,
+                    model.get(&key).cloned(),
+                    "get({key}) diverged under fault weather"
+                )
             }
+            Ok((other, _)) => panic!("get({key}) -> non-point outcome {other:?}"),
             Err(
                 nkv::NkvError::RetriesExhausted { .. }
                 | nkv::NkvError::Flash(_)

@@ -9,7 +9,7 @@ use ndp_pe::oracle::FilterRule;
 use ndp_pe::MemBus;
 use ndp_pe::{PeSim, VecMem};
 use ndp_swgen::{DriverProfile, FilterJob, PeDriver};
-use nkv::{ExecMode, NkvDb, NkvError, TableConfig};
+use nkv::{Backend, NkvDb, NkvError, TableConfig};
 
 const SENSOR_SPEC: &str = "
     /* @autogen define parser Agg with input = R, output = R,
@@ -133,9 +133,9 @@ fn db_level_aggregate_pushdown_matches_software() {
 
     let rules = [FilterRule { lane: 1, op_code: 4 /* ge */, value: 2000 }];
     let (hw_sum, hw_any, hw_rep) =
-        db.scan_aggregate("t", &rules, AggOp::Sum, 2, ExecMode::Hardware).unwrap();
+        db.scan_aggregate("t", &rules, AggOp::Sum, 2, Backend::Hardware).unwrap();
     let (sw_sum, sw_any, _) =
-        db.scan_aggregate("t", &rules, AggOp::Sum, 2, ExecMode::Software).unwrap();
+        db.scan_aggregate("t", &rules, AggOp::Sum, 2, Backend::Software).unwrap();
     assert!(hw_any && sw_any);
     assert_eq!(hw_sum, sw_sum);
     // Independent expectation from the raw records.
@@ -146,7 +146,7 @@ fn db_level_aggregate_pushdown_matches_software() {
     assert_eq!(hw_rep.result_bytes, 8);
 
     // The full filtering scan would have moved every matching record.
-    let full = db.scan("t", &rules, ExecMode::Hardware).unwrap();
+    let full = db.scan("t", &rules, Backend::Hardware).unwrap();
     assert!(full.report.result_bytes > 1000 * 16);
 }
 
@@ -163,11 +163,11 @@ fn hardware_aggregate_requires_generated_support() {
     db.create_table("t", TableConfig::new(pe)).unwrap();
     db.bulk_load("t", vec![record(1, 0, 0)[..12].to_vec()]).unwrap();
     // Sum was not generated: hardware mode refuses, software works.
-    match db.scan_aggregate("t", &[], AggOp::Sum, 1, ExecMode::Hardware) {
+    match db.scan_aggregate("t", &[], AggOp::Sum, 1, Backend::Hardware) {
         Err(NkvError::Config(msg)) => assert!(msg.contains("sum")),
         other => panic!("expected config error, got {other:?}"),
     }
-    let (v, any, _) = db.scan_aggregate("t", &[], AggOp::Sum, 1, ExecMode::Software).unwrap();
+    let (v, any, _) = db.scan_aggregate("t", &[], AggOp::Sum, 1, Backend::Software).unwrap();
     assert!(any);
     assert_eq!(v, 0);
 }

@@ -22,8 +22,8 @@
 //! 5. **gray failure**: a slow-but-alive device changes *when*, never
 //!    *what* — identical bytes, stretched simulated time.
 
-use cosmos_sim::{DeviceFaultKind, DeviceFaultPlan};
-use ndp_ir::elaborate;
+use cosmos_sim::{DeviceFaultKind, DeviceFaultPlan, RouterSpanKind};
+use ndp_ir::{elaborate, AggOp};
 use ndp_pe::oracle::FilterRule;
 use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{Paper, PaperGen, PubGraphConfig, SplitMix64};
@@ -652,4 +652,113 @@ fn range_sharding_prunes_range_scans_to_owning_shards() {
         Err(NkvError::ShardUnavailable { shard: 1, .. }) => {}
         other => panic!("cross-shard range over a hung device: {other:?}"),
     }
+}
+
+/// A 4-shard cluster under `policy` whose shard `victim` a link loss
+/// has driven all the way to `Dead`, with router tracing switched on
+/// afterwards and the trace drained.
+fn cluster_with_dead_shard(policy: ReadPolicy, victim: usize) -> NkvCluster {
+    let mut cluster = build_cluster(4, policy, 1, 0, &dataset(200));
+    cluster
+        .install_device_fault(
+            victim,
+            DeviceFaultPlan { kind: DeviceFaultKind::LinkLoss, after_ops: 0 },
+        )
+        .unwrap();
+    let victim_key = (1..=200u64).find(|k| cluster.shard_for_key(*k) == victim).unwrap();
+    for _ in 0..80 {
+        // Strict fails every call; Available reports the hole. Either
+        // way the FSM scores the fault.
+        let _ = cluster.get("papers", victim_key, Backend::Software);
+        if cluster.shard_state(victim).unwrap() == ShardState::Dead {
+            break;
+        }
+    }
+    assert_eq!(cluster.shard_state(victim).unwrap(), ShardState::Dead);
+    cluster.enable_observability(1 << 12);
+    let _ = cluster.take_cluster_trace();
+    cluster
+}
+
+/// Shards the router waited on since the last drain, in span order.
+fn router_waits(cluster: &mut NkvCluster) -> Vec<u32> {
+    let (_, router) = cluster.take_cluster_trace();
+    router
+        .iter()
+        .filter_map(|s| match s.kind {
+            RouterSpanKind::ShardWait { shard } => Some(shard),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The one read fan-out's degraded-mode contract, pinned on all six
+/// cluster read methods with one shard dead: under `Available` the dead
+/// shard is listed as missing and the router waits exactly once on
+/// every surviving participant (a GET whose only shard is dead records
+/// no fan-out at all); under `Strict` every read is a typed
+/// `ShardUnavailable` naming the dead shard.
+#[test]
+fn every_read_method_shares_the_degraded_fan_out_semantics() {
+    let victim = 2usize;
+    let survivors: Vec<u32> = (0..4u32).filter(|&s| s != victim as u32).collect();
+    let rules = all_rules();
+    let mut cluster = cluster_with_dead_shard(ReadPolicy::Available, victim);
+    let victim_key = (1..=200u64).find(|k| cluster.shard_for_key(*k) == victim).unwrap();
+    let survivor_key = (1..=200u64).find(|k| cluster.shard_for_key(*k) != victim).unwrap();
+    // One key per shard, so the batched GET's participants are all four.
+    let spread: Vec<u64> =
+        (0..4).map(|s| (1..=200u64).find(|k| cluster.shard_for_key(*k) == s).unwrap()).collect();
+
+    let got = cluster.get("papers", victim_key, Backend::Software).unwrap();
+    assert_eq!((got.record, got.missing_shards, got.sim_ns), (None, vec![victim], 0));
+    let (_, router) = cluster.take_cluster_trace();
+    assert!(router.is_empty(), "a GET on a dead shard fans out to nobody: {router:?}");
+
+    let got = cluster.get("papers", survivor_key, Backend::Software).unwrap();
+    assert!(got.missing_shards.is_empty());
+    let owner = cluster.shard_for_key(survivor_key) as u32;
+    assert_eq!(router_waits(&mut cluster), vec![owner], "get on a survivor");
+
+    let multi = cluster.multi_get("papers", &spread, Backend::Software).unwrap();
+    assert_eq!(multi.missing_shards, vec![victim], "multi_get");
+    assert_eq!(multi.results[victim].as_ref().unwrap(), &None, "the hole reads as a miss");
+    assert_eq!(router_waits(&mut cluster), survivors, "multi_get");
+
+    let scan = cluster.scan("papers", &rules, Backend::Software).unwrap();
+    assert_eq!(scan.missing_shards, vec![victim], "scan");
+    assert_eq!(router_waits(&mut cluster), survivors, "scan");
+
+    let (adaptive, tiers) = cluster.scan_adaptive("papers", &rules).unwrap();
+    assert_eq!(adaptive.missing_shards, vec![victim], "scan_adaptive");
+    assert_eq!(adaptive.records, scan.records, "scan_adaptive bytes");
+    let tier_shards: Vec<u32> = tiers.iter().map(|&(s, _)| s as u32).collect();
+    assert_eq!(tier_shards, survivors, "scan_adaptive tiers");
+    assert_eq!(router_waits(&mut cluster), survivors, "scan_adaptive");
+
+    let range = cluster.range_scan("papers", 1, 201, Backend::Software).unwrap();
+    assert_eq!(range.missing_shards, vec![victim], "range_scan");
+    assert_eq!(range.records.len(), scan.records.len(), "range_scan covers every key");
+    assert_eq!(router_waits(&mut cluster), survivors, "range_scan");
+
+    let agg = cluster
+        .scan_aggregate("papers", &rules, AggOp::Count, paper_lanes::YEAR, Backend::Software)
+        .unwrap();
+    assert_eq!(agg.missing_shards, vec![victim], "scan_aggregate");
+    assert_eq!((agg.value, agg.any), (scan.count, true), "scan_aggregate counts the survivors");
+    assert_eq!(router_waits(&mut cluster), survivors, "scan_aggregate");
+
+    let mut strict = cluster_with_dead_shard(ReadPolicy::Strict, victim);
+    let unavailable = |res: Result<(), NkvError>, what: &str| match res {
+        Err(NkvError::ShardUnavailable { shard, .. }) => assert_eq!(shard, victim, "{what}"),
+        other => panic!("strict {what} with a dead shard: {other:?}"),
+    };
+    let sw = Backend::Software;
+    unavailable(strict.get("papers", victim_key, sw).map(drop), "get");
+    unavailable(strict.multi_get("papers", &spread, sw).map(drop), "multi_get");
+    unavailable(strict.scan("papers", &rules, sw).map(drop), "scan");
+    unavailable(strict.scan_adaptive("papers", &rules).map(drop), "scan_adaptive");
+    unavailable(strict.range_scan("papers", 1, 201, sw).map(drop), "range_scan");
+    let agg = strict.scan_aggregate("papers", &rules, AggOp::Count, paper_lanes::YEAR, sw);
+    unavailable(agg.map(drop), "scan_aggregate");
 }

@@ -7,7 +7,7 @@ use ndp_pe::oracle::FilterRule;
 use ndp_pe::template::PeVariant;
 use ndp_workload::spec::{paper_lanes, PAPER_PE, PAPER_REF_SPEC, REF_PE};
 use ndp_workload::{Paper, PaperGen, PubGraphConfig, Ref, RefGen};
-use nkv::{ExecMode, NkvDb, NkvError, TableConfig};
+use nkv::{Backend, NkvDb, NkvError, TableConfig};
 
 fn encode_paper(p: &Paper) -> Vec<u8> {
     let mut v = Vec::with_capacity(80);
@@ -39,8 +39,8 @@ fn hardware_and_software_agree_after_updates_and_deletes() {
     }
     db.flush("papers").unwrap();
     let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 5 /* lt */, value: 1950 }];
-    let sw = db.scan("papers", &rules, ExecMode::Software).unwrap();
-    let hw = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+    let sw = db.scan("papers", &rules, Backend::Software).unwrap();
+    let hw = db.scan("papers", &rules, Backend::Hardware).unwrap();
     assert_eq!(sw.records, hw.records);
     // Exactly the updated-but-not-deleted papers have year < 1950
     // (i = 0 is both updated and later deleted).
@@ -48,8 +48,8 @@ fn hardware_and_software_agree_after_updates_and_deletes() {
     assert_eq!(sw.count, expected);
     // GETs agree too.
     for i in [0u64, 97, 301, 1234] {
-        let (a, _) = db.get("papers", i + 1, ExecMode::Software).unwrap();
-        let (b, _) = db.get("papers", i + 1, ExecMode::Hardware).unwrap();
+        let (a, _) = db.get("papers", i + 1, Backend::Software).unwrap();
+        let (b, _) = db.get("papers", i + 1, Backend::Hardware).unwrap();
         assert_eq!(a, b, "key {}", i + 1);
     }
 }
@@ -63,14 +63,14 @@ fn injected_ecc_fault_surfaces_as_flash_error() {
     let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 1000 }];
     // The scan must fail loudly (never silently drop data), whichever
     // block the bad page lands in.
-    let result = db.scan("papers", &rules, ExecMode::Hardware);
+    let result = db.scan("papers", &rules, Backend::Hardware);
     match result {
         Err(NkvError::Flash(FlashError::Uncorrectable(_))) => {}
         other => panic!("expected uncorrectable-ECC error, got {other:?}"),
     }
     // Healing restores service.
     db.platform_mut().flash.heal_page(PhysAddr { channel: 0, lun: 2, page: 0 });
-    assert!(db.scan("papers", &rules, ExecMode::Hardware).is_ok());
+    assert!(db.scan("papers", &rules, Backend::Hardware).is_ok());
 }
 
 #[test]
@@ -87,7 +87,7 @@ fn baseline_pe_population_matches_generated_results() {
         db.create_table("papers", tc).unwrap();
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode_paper(&p))).unwrap();
         let rules = [FilterRule { lane: paper_lanes::N_CITS, op_code: 4, value: 1500 }];
-        results.push(db.scan("papers", &rules, ExecMode::Hardware).unwrap().records);
+        results.push(db.scan("papers", &rules, Backend::Hardware).unwrap().records);
     }
     assert_eq!(results[0], results[1]);
 }
@@ -116,14 +116,14 @@ fn duplicate_key_edge_table_full_workflow() {
     assert_eq!(n, 6000);
     // SCAN over duplicate keys returns every matching edge.
     let rules = [FilterRule { lane: 2 /* year */, op_code: 4, value: 2000 }];
-    let s = db.scan("refs", &rules, ExecMode::Hardware).unwrap();
+    let s = db.scan("refs", &rules, Backend::Hardware).unwrap();
     let expected = RefGen::new(cfg).filter(|r| r.year >= 2000).count() as u64;
     assert_eq!(s.count, expected);
     for rec in s.records.chunks_exact(20) {
         assert!(Ref::decode(rec).year >= 2000);
     }
     // GET by source id returns one of that source's edges.
-    let (rec, _) = db.get("refs", 42, ExecMode::Software).unwrap();
+    let (rec, _) = db.get("refs", 42, Backend::Software).unwrap();
     assert_eq!(Ref::decode(&rec.unwrap()).src, 42);
 }
 
@@ -137,7 +137,7 @@ fn range_scan_matches_key_range_exactly() {
     let cfg = PubGraphConfig { papers: 5000, refs: 5000, seed: 13 };
     db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode_paper(&p))).unwrap();
     for (lo, hi) in [(1u64, 2u64), (100, 1100), (4990, 6000), (6000, 7000)] {
-        let s = db.range_scan("papers", lo, hi, ExecMode::Hardware).unwrap();
+        let s = db.range_scan("papers", lo, hi, Backend::Hardware).unwrap();
         let expected = (lo..hi.min(cfg.papers + 1)).count() as u64;
         let expected = expected.min(cfg.papers.saturating_sub(lo - 1));
         assert_eq!(s.count, expected, "range {lo}..{hi}");
@@ -155,7 +155,7 @@ fn simulated_times_scale_with_data_volume() {
         let cfg = PubGraphConfig { papers: n, refs: n, seed: 3 };
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode_paper(&p))).unwrap();
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4, value: 3000 }];
-        let s = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        let s = db.scan("papers", &rules, Backend::Hardware).unwrap();
         times.push(s.report.sim_ns as f64);
     }
     let ratio = times[1] / times[0];
@@ -254,7 +254,7 @@ fn tiny_scan_chrome_trace_is_valid_json_with_stable_ordering() {
         db.bulk_load("papers", PaperGen::new(cfg).map(|p| encode_paper(&p))).unwrap();
         db.enable_observability(1 << 12);
         let rules = [FilterRule { lane: paper_lanes::YEAR, op_code: 4 /* ge */, value: 2000 }];
-        let s = db.scan("papers", &rules, ExecMode::Hardware).unwrap();
+        let s = db.scan("papers", &rules, Backend::Hardware).unwrap();
         assert!(s.count > 0, "the tiny scan must match something");
         cosmos_sim::chrome_trace_json(&db.take_trace())
     };
