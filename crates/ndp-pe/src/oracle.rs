@@ -92,6 +92,12 @@ impl OpTable {
         }
     }
 
+    /// The encoding of standard operator `op`, if the configuration
+    /// requested it (encodings follow the requested order).
+    pub fn code(&self, op: CmpOp) -> Option<u32> {
+        self.standard.iter().position(|o| *o == Some(op)).map(|c| c as u32)
+    }
+
     /// Human-readable symbol of operator `code` (explain/debug
     /// rendering). Encodings are per-configuration, so there is no
     /// global code→symbol map; unknown codes print as `op#N`.

@@ -1,15 +1,26 @@
 //! The Rust twin of the generated C interface.
 //!
-//! [`PeDriver`] performs exactly the register-level protocol that the
-//! generated header's `filter_sync`/`filter_async`/`wait_until_done`
-//! functions perform on the device, against any [`PeDevice`]. It also
-//! counts every register access ([`IoStats`]) — the platform simulator
-//! turns those counts into PS↔PL configuration time, which is what makes
-//! the GET operation *not* profit from hardware in Fig. 7(a).
+//! One function, `job_protocol`, lists every register access of a job
+//! launch and its readback. Everything that needs those accesses reads
+//! them from there:
 //!
-//! The [`DriverProfile`] distinguishes the generated firmware protocol
-//! (flexible lengths, 64-bit reference values, result-size readback) from
-//! the leaner fixed-function protocol of \[1\].
+//! * [`PeDriver`] performs each one as MMIO on a [`PeDevice`] and counts
+//!   it ([`IoStats`]);
+//! * [`job_io`] only counts them — the figure the platform simulator
+//!   turns into PS↔PL configuration time (what makes the GET operation
+//!   *not* profit from hardware in Fig. 7(a)), and the figure the cost
+//!   model and the Fig. 7(b) anchor derivation price.
+//!
+//! Under [`DriverProfile::Generated`] the protocol is the one the
+//! generated header's `set_filter`/`set_aggregate`/`filter_async`
+//! functions perform, with two differences: the twin also reads
+//! `TUPLES_OUT` back (the header's `filter_sync` returns `RESULT_BYTES`
+//! only), and it does not model the header's `STATUS` poll — the PE
+//! runs to completion in between, with no register traffic charged.
+//!
+//! The [`DriverProfile`] distinguishes that generated firmware protocol
+//! (flexible lengths, 64-bit reference values, result-size readback)
+//! from the leaner fixed-function protocol of \[1\].
 
 use ndp_ir::AggOp;
 use ndp_pe::oracle::FilterRule;
@@ -26,6 +37,22 @@ pub enum DriverProfile {
     /// \[1\]: fixed 32 KiB blocks — no length/capacity configuration, only
     /// 32-bit reference values, result size derived from the counter.
     Baseline,
+}
+
+/// How a job launch configures the PE.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Invoke {
+    /// Full configuration: every filter stage (unused ones set to nop)
+    /// and the aggregation unit, then the descriptor and START.
+    Cold,
+    /// Steady state: the configuration is already in the registers;
+    /// only the descriptor and START are written.
+    Warm,
+    /// A batched-GET key after the batch's cold first key: the PL
+    /// key-list walker re-points stage 0 and the descriptor itself and
+    /// reads the result back (charged to [`PeDriver::walker_io`]); the
+    /// ARM writes a single START strobe and reads nothing.
+    Keyed,
 }
 
 /// One filtering job: a source block, a destination buffer, and the
@@ -46,7 +73,7 @@ impl FilterJob {
     /// Point an existing job descriptor at a new source block, keeping
     /// rules/destination/capacity. Firmware reuses one descriptor per
     /// stream this way instead of rebuilding it per block, which is what
-    /// keeps the driver's rule cache warm across a scan.
+    /// keeps the driver's configuration cache warm across a scan.
     pub fn retarget(&mut self, src: u64, len: u32) {
         self.src = src;
         self.len = len;
@@ -60,13 +87,185 @@ pub struct IoStats {
     pub reg_reads: u64,
 }
 
-/// An in-flight job started with [`PeDriver::launch`]. Consumed by
-/// [`PeDriver::complete`]; carries the launch-time register-access cost
-/// so the completed [`JobResult`] accounts for the whole job.
+impl std::ops::AddAssign for IoStats {
+    fn add_assign(&mut self, rhs: IoStats) {
+        self.reg_writes += rhs.reg_writes;
+        self.reg_reads += rhs.reg_reads;
+    }
+}
+
+/// Who issues a register access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Issuer {
+    /// The ARM firmware, across the PS↔PL bridge the timing model prices.
+    Arm,
+    /// The PL-side key-list walker, at fabric speed.
+    Walker,
+}
+
+/// Receiver of the register accesses [`job_protocol`] emits.
+pub(crate) trait RegSink {
+    fn write(&mut self, by: Issuer, off: u32, val: u32);
+    fn read(&mut self, by: Issuer, off: u32) -> u32;
+    /// The PE runs the launched job to completion.
+    fn wait(&mut self);
+}
+
+/// What a job's readback returned.
+pub(crate) struct Readback {
+    /// RESULT_BYTES (`None` under \[1\], which derives the size from the
+    /// pass counter).
+    pub result_bytes: Option<u32>,
+    pub tuples_out: u32,
+    pub aggregate: Option<u64>,
+}
+
+/// The register protocol of one job: configuration (on a cold launch),
+/// descriptor, START, completion, readback. The only code that lists
+/// job-path PE registers; `window` is `(src, len, dst, capacity)`.
+pub(crate) fn job_protocol(
+    sink: &mut impl RegSink,
+    profile: DriverProfile,
+    stages: u32,
+    rules: &[FilterRule],
+    aggregate: Option<(AggOp, u32)>,
+    (src, len, dst, capacity): (u64, u32, u64, u32),
+    invoke: Invoke,
+) -> Readback {
+    assert!(
+        rules.len() <= stages as usize,
+        "job has {} rules but the PE provides {stages} stages",
+        rules.len()
+    );
+    let generated = profile == DriverProfile::Generated;
+    let counter = offsets::STAGE_BASE + stages * offsets::STAGE_STRIDE;
+    let (by, configured) = match invoke {
+        Invoke::Cold => (Issuer::Arm, rules),
+        Invoke::Warm => (Issuer::Arm, &rules[..0]),
+        Invoke::Keyed => (Issuer::Walker, &rules[..rules.len().min(1)]),
+    };
+    for (s, r) in configured.iter().enumerate() {
+        let group = offsets::STAGE_BASE + s as u32 * offsets::STAGE_STRIDE;
+        sink.write(by, group + offsets::STAGE_FIELD, r.lane);
+        sink.write(by, group + offsets::STAGE_OP, r.op_code);
+        sink.write(by, group + offsets::STAGE_VAL_LO, r.value as u32);
+        if generated {
+            sink.write(by, group + offsets::STAGE_VAL_HI, (r.value >> 32) as u32);
+        }
+    }
+    if invoke == Invoke::Cold {
+        for s in rules.len() as u32..stages {
+            let group = offsets::STAGE_BASE + s * offsets::STAGE_STRIDE;
+            sink.write(by, group + offsets::STAGE_OP, 0); // unused stages pass everything
+        }
+        if let Some((op, lane)) = aggregate {
+            sink.write(by, counter + agg_offsets::AGG_FIELD, lane);
+            sink.write(by, counter + agg_offsets::AGG_OP, op.code());
+        }
+    }
+    sink.write(by, offsets::SRC_ADDR_LO, src as u32);
+    sink.write(by, offsets::SRC_ADDR_HI, (src >> 32) as u32);
+    sink.write(by, offsets::DST_ADDR_LO, dst as u32);
+    sink.write(by, offsets::DST_ADDR_HI, (dst >> 32) as u32);
+    if generated {
+        sink.write(by, offsets::SRC_LEN, len);
+        sink.write(by, offsets::DST_CAPACITY, capacity);
+    }
+    sink.write(Issuer::Arm, offsets::START, 1);
+    sink.wait();
+    // A keyed job's result sizes ride the result stream itself (the
+    // walker prefixes each record with its length): the walker reads.
+    let aggregate = aggregate.map(|_| {
+        let lo = u64::from(sink.read(by, counter + agg_offsets::AGG_RESULT_LO));
+        let hi = u64::from(sink.read(by, counter + agg_offsets::AGG_RESULT_HI));
+        lo | (hi << 32)
+    });
+    let (result_bytes, tuples_out) = if generated {
+        (Some(sink.read(by, offsets::RESULT_BYTES)), sink.read(by, offsets::TUPLES_OUT))
+    } else {
+        // [1] derives the result size from the pass counter (fixed-size
+        // tuples): one register read.
+        (None, sink.read(by, counter))
+    };
+    Readback { result_bytes, tuples_out, aggregate }
+}
+
+/// Register accesses of one job, by issuer.
+#[derive(Debug, Default)]
+struct Tally {
+    arm: IoStats,
+    walker: IoStats,
+}
+
+impl Tally {
+    fn of(&mut self, by: Issuer) -> &mut IoStats {
+        match by {
+            Issuer::Arm => &mut self.arm,
+            Issuer::Walker => &mut self.walker,
+        }
+    }
+}
+
+impl RegSink for Tally {
+    fn write(&mut self, by: Issuer, _: u32, _: u32) {
+        self.of(by).reg_writes += 1;
+    }
+
+    fn read(&mut self, by: Issuer, _: u32) -> u32 {
+        self.of(by).reg_reads += 1;
+        0
+    }
+
+    fn wait(&mut self) {}
+}
+
+/// The ARM-side register accesses of one job under `invoke` — what
+/// [`PeDriver`] charges to [`JobResult::io`] for the same job, without a
+/// device.
+pub fn job_io(
+    profile: DriverProfile,
+    stages: u32,
+    rules: &[FilterRule],
+    aggregate: Option<(AggOp, u32)>,
+    invoke: Invoke,
+) -> IoStats {
+    let mut tally = Tally::default();
+    job_protocol(&mut tally, profile, stages, rules, aggregate, (0, 0, 0, 0), invoke);
+    tally.arm
+}
+
+/// A [`PeDevice`] as a protocol sink: every access is MMIO, and the PE
+/// executes on completion.
+struct Device<'a, P: PeDevice> {
+    pe: &'a mut P,
+    mem: &'a mut dyn MemBus,
+    tally: Tally,
+    block: BlockResult,
+}
+
+impl<P: PeDevice> RegSink for Device<'_, P> {
+    fn write(&mut self, by: Issuer, off: u32, val: u32) {
+        self.tally.write(by, off, val);
+        self.pe.mmio_write(off, val);
+    }
+
+    fn read(&mut self, by: Issuer, off: u32) -> u32 {
+        self.tally.read(by, off);
+        self.pe.mmio_read(off)
+    }
+
+    fn wait(&mut self) {
+        self.block = self.pe.execute(self.mem);
+    }
+}
+
+/// A job started with [`PeDriver::launch`]; consumed by
+/// [`PeDriver::complete`].
 #[derive(Debug)]
 #[must_use = "a launched job must be completed"]
 pub struct JobHandle {
-    launch_io: IoStats,
+    job: FilterJob,
+    invoke: Invoke,
 }
 
 /// Result of a completed job.
@@ -80,7 +279,7 @@ pub struct JobResult {
     pub tuples_out: u32,
     /// Aggregation accumulator (None if no aggregate was requested).
     pub aggregate: Option<u64>,
-    /// Register accesses this job cost (configuration + readback).
+    /// ARM register accesses this job cost (configuration + readback).
     pub io: IoStats,
 }
 
@@ -104,24 +303,21 @@ pub struct PerfReadout {
 pub struct PeDriver<P: PeDevice> {
     pe: P,
     profile: DriverProfile,
-    /// Lifetime register-access counters.
+    /// Lifetime ARM register-access counters of the job path.
     pub total_io: IoStats,
     /// Register accesses spent on perf-counter readback/reset, tracked
-    /// separately so observability never changes job-path configuration
-    /// costs (the timing model's CFG_WRITES/READS constants).
+    /// separately so observability never changes job-path costs.
     pub perf_io: IoStats,
     /// Register accesses performed by the PL-side key-list walker during
-    /// batched (keyed) invocations. The walker re-points the descriptor
-    /// registers itself, PL→PL at fabric speed, so this traffic never
-    /// crosses the PS↔PL bridge the timing model prices — it is tracked
-    /// here, apart from the ARM job path in [`total_io`](Self::total_io).
+    /// keyed invocations. The walker works PL→PL at fabric speed, so
+    /// this traffic never crosses the PS↔PL bridge the timing model
+    /// prices — it is tracked here, apart from
+    /// [`total_io`](Self::total_io).
     pub walker_io: IoStats,
-    /// Rules written during the last configuration (dirty-tracking:
-    /// reconfiguring identical filter rules is skipped, like firmware
-    /// that caches its last configuration).
-    last_rules: Option<Vec<FilterRule>>,
-    /// Whether the last launched job requested an aggregate.
-    last_job_aggregated: bool,
+    /// The job whose filter rules and aggregate were configured last
+    /// (dirty tracking: an identical configuration is not rewritten,
+    /// like firmware that caches its last configuration).
+    config: Option<FilterJob>,
 }
 
 impl<P: PeDevice> PeDriver<P> {
@@ -133,8 +329,7 @@ impl<P: PeDevice> PeDriver<P> {
             total_io: IoStats::default(),
             perf_io: IoStats::default(),
             walker_io: IoStats::default(),
-            last_rules: None,
-            last_job_aggregated: false,
+            config: None,
         }
     }
 
@@ -148,199 +343,68 @@ impl<P: PeDevice> PeDriver<P> {
         self.profile
     }
 
-    fn write(&mut self, io: &mut IoStats, off: u32, val: u32) {
-        self.pe.mmio_write(off, val);
-        io.reg_writes += 1;
-    }
-
-    fn read(&mut self, io: &mut IoStats, off: u32) -> u32 {
-        io.reg_reads += 1;
-        self.pe.mmio_read(off)
-    }
-
-    /// Configure the filter stages (like the header's `set_filter`).
-    fn configure_rules(&mut self, io: &mut IoStats, rules: &[FilterRule]) {
-        assert!(
-            rules.len() <= self.pe.stages() as usize,
-            "job has {} rules but the PE provides {} stages",
-            rules.len(),
-            self.pe.stages()
-        );
-        if self.last_rules.as_deref() == Some(rules) {
-            return; // unchanged configuration is not rewritten
-        }
-        for (s, r) in rules.iter().enumerate() {
-            let group = offsets::STAGE_BASE + s as u32 * offsets::STAGE_STRIDE;
-            self.write(io, group + offsets::STAGE_FIELD, r.lane);
-            self.write(io, group + offsets::STAGE_OP, r.op_code);
-            self.write(io, group + offsets::STAGE_VAL_LO, r.value as u32);
-            if self.profile == DriverProfile::Generated {
-                self.write(io, group + offsets::STAGE_VAL_HI, (r.value >> 32) as u32);
+    /// Launch a job. An [`Invoke::Warm`] launch whose rules or aggregate
+    /// differ from the cached configuration is promoted to
+    /// [`Invoke::Cold`]. In simulation the PE only samples its registers
+    /// when it executes, so the accesses themselves are issued by
+    /// [`complete`](Self::complete).
+    pub fn launch(&mut self, job: &FilterJob, invoke: Invoke) -> JobHandle {
+        let cached = self
+            .config
+            .as_ref()
+            .is_some_and(|c| c.rules == job.rules && c.aggregate == job.aggregate);
+        let invoke = if invoke == Invoke::Warm && !cached { Invoke::Cold } else { invoke };
+        match invoke {
+            Invoke::Cold => self.config = Some(job.clone()),
+            // The walker rewrote stage 0: keep the cache coherent with
+            // the registers, so a later warm launch dirty-tracks right.
+            Invoke::Keyed => {
+                let stage0 = self.config.as_mut().and_then(|c| c.rules.first_mut());
+                if let (Some(cached), Some(r0)) = (stage0, job.rules.first()) {
+                    *cached = *r0;
+                }
             }
+            Invoke::Warm => {}
         }
-        // Unused stages pass everything (nop).
-        for s in rules.len()..self.pe.stages() as usize {
-            let group = offsets::STAGE_BASE + s as u32 * offsets::STAGE_STRIDE;
-            self.write(io, group + offsets::STAGE_OP, 0);
-        }
-        self.last_rules = Some(rules.to_vec());
+        JobHandle { job: job.clone(), invoke }
     }
 
-    /// Launch a job asynchronously (the header's `filter_async`):
-    /// configure everything and write START. Returns the register
-    /// accesses spent so far.
-    pub fn filter_async(&mut self, job: &FilterJob) -> IoStats {
-        self.last_job_aggregated = job.aggregate.is_some();
-        let mut io = IoStats::default();
-        self.configure_rules(&mut io, &job.rules);
-        self.write(&mut io, offsets::SRC_ADDR_LO, job.src as u32);
-        self.write(&mut io, offsets::SRC_ADDR_HI, (job.src >> 32) as u32);
-        self.write(&mut io, offsets::DST_ADDR_LO, job.dst as u32);
-        self.write(&mut io, offsets::DST_ADDR_HI, (job.dst >> 32) as u32);
-        if self.profile == DriverProfile::Generated {
-            self.write(&mut io, offsets::SRC_LEN, job.len);
-            self.write(&mut io, offsets::DST_CAPACITY, job.capacity);
-        }
-        if let Some((op, lane)) = job.aggregate {
-            let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-            self.write(&mut io, fc + agg_offsets::AGG_FIELD, lane);
-            self.write(&mut io, fc + agg_offsets::AGG_OP, op.code());
-        }
-        self.write(&mut io, offsets::START, 1);
-        io
-    }
-
-    /// Complete a previously launched job (the header's
-    /// `wait_until_done` plus result readback). In simulation the PE
-    /// executes here; on the device this would poll STATUS.
-    pub fn wait_until_done(&mut self, mem: &mut dyn MemBus, launch_io: IoStats) -> JobResult {
-        let mut io = launch_io;
-        let block = self.pe.execute(mem);
-        let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-        let aggregate = if self.last_job_aggregated {
-            let lo = u64::from(self.read(&mut io, fc + agg_offsets::AGG_RESULT_LO));
-            let hi = u64::from(self.read(&mut io, fc + agg_offsets::AGG_RESULT_HI));
-            Some(lo | (hi << 32))
-        } else {
-            None
-        };
-        let (result_bytes, tuples_out) = match self.profile {
-            DriverProfile::Generated => {
-                let rb = self.read(&mut io, offsets::RESULT_BYTES);
-                let to = self.read(&mut io, offsets::TUPLES_OUT);
-                (rb, to)
-            }
-            DriverProfile::Baseline => {
-                // [1] derives the result size from the pass counter
-                // (fixed-size tuples): one register read.
-                let map_counter = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-                let count = self.read(&mut io, map_counter);
-                (block.result_bytes, count)
-            }
-        };
-        self.total_io.reg_writes += io.reg_writes;
-        self.total_io.reg_reads += io.reg_reads;
-        JobResult { block, result_bytes, tuples_out, aggregate, io }
-    }
-
-    /// Synchronous filtering (the header's `filter_sync`).
-    pub fn filter_sync(&mut self, mem: &mut dyn MemBus, job: &FilterJob) -> JobResult {
-        let io = self.filter_async(job);
-        self.wait_until_done(mem, io)
-    }
-
-    /// Launch a job and hand back an opaque in-flight handle (typed
-    /// wrapper over [`filter_async`](Self::filter_async)'s launch-cost
-    /// accounting, so callers cannot mix up the launch IoStats of two
-    /// overlapping jobs).
-    pub fn launch(&mut self, job: &FilterJob) -> JobHandle {
-        JobHandle { launch_io: self.filter_async(job) }
-    }
-
-    /// Complete a job previously started with [`launch`](Self::launch).
+    /// Complete a job started with [`launch`](Self::launch): perform its
+    /// register protocol, run the PE, read the results back.
     pub fn complete(&mut self, mem: &mut dyn MemBus, handle: JobHandle) -> JobResult {
-        self.wait_until_done(mem, handle.launch_io)
+        let JobHandle { job, invoke } = handle;
+        let stages = self.pe.stages();
+        let mut dev = Device {
+            pe: &mut self.pe,
+            mem,
+            tally: Tally::default(),
+            block: BlockResult::default(),
+        };
+        let window = (job.src, job.len, job.dst, job.capacity);
+        let rb =
+            job_protocol(&mut dev, self.profile, stages, &job.rules, job.aggregate, window, invoke);
+        let Device { tally, block, .. } = dev;
+        self.total_io += tally.arm;
+        self.walker_io += tally.walker;
+        JobResult {
+            block,
+            result_bytes: rb.result_bytes.unwrap_or(block.result_bytes),
+            tuples_out: rb.tuples_out,
+            aggregate: rb.aggregate,
+            io: tally.arm,
+        }
     }
 
-    /// Forget the cached filter configuration (e.g. after device reset).
+    /// Synchronous filtering (the header's `filter_sync`): a warm launch
+    /// that configures only what changed, then completion.
+    pub fn filter_sync(&mut self, mem: &mut dyn MemBus, job: &FilterJob) -> JobResult {
+        let handle = self.launch(job, Invoke::Warm);
+        self.complete(mem, handle)
+    }
+
+    /// Forget the cached configuration (e.g. after device reset).
     pub fn invalidate_config_cache(&mut self) {
-        self.last_rules = None;
-    }
-
-    /// Launch one key of a batched invocation. The datapath was fully
-    /// configured by the batch's first (cold) key; for every subsequent
-    /// key the PL-side key-list walker re-points the descriptor
-    /// registers itself — stage-0 reference value plus the source/
-    /// destination window — at fabric speed, charged to
-    /// [`walker_io`](Self::walker_io). The ARM's job-path cost collapses
-    /// to a single START strobe (`timing::BATCH_KEY_CFG_WRITES == 1`).
-    pub fn launch_keyed(&mut self, job: &FilterJob) -> JobHandle {
-        self.last_job_aggregated = job.aggregate.is_some();
-        let mut wio = IoStats::default();
-        if let Some(r0) = job.rules.first() {
-            let group = offsets::STAGE_BASE;
-            self.write(&mut wio, group + offsets::STAGE_FIELD, r0.lane);
-            self.write(&mut wio, group + offsets::STAGE_OP, r0.op_code);
-            self.write(&mut wio, group + offsets::STAGE_VAL_LO, r0.value as u32);
-            if self.profile == DriverProfile::Generated {
-                self.write(&mut wio, group + offsets::STAGE_VAL_HI, (r0.value >> 32) as u32);
-            }
-            // Keep the rule cache coherent with what is now in the
-            // registers, so a later cold launch dirty-tracks correctly.
-            if let Some(cached) = self.last_rules.as_mut().and_then(|c| c.first_mut()) {
-                *cached = *r0;
-            }
-        }
-        self.write(&mut wio, offsets::SRC_ADDR_LO, job.src as u32);
-        self.write(&mut wio, offsets::SRC_ADDR_HI, (job.src >> 32) as u32);
-        self.write(&mut wio, offsets::DST_ADDR_LO, job.dst as u32);
-        self.write(&mut wio, offsets::DST_ADDR_HI, (job.dst >> 32) as u32);
-        if self.profile == DriverProfile::Generated {
-            self.write(&mut wio, offsets::SRC_LEN, job.len);
-            self.write(&mut wio, offsets::DST_CAPACITY, job.capacity);
-        }
-        self.walker_io.reg_writes += wio.reg_writes;
-        self.walker_io.reg_reads += wio.reg_reads;
-        // ARM side: one START strobe, nothing else.
-        let mut io = IoStats::default();
-        self.write(&mut io, offsets::START, 1);
-        JobHandle { launch_io: io }
-    }
-
-    /// Complete a keyed launch. Per-key result sizes ride the result
-    /// stream itself (the walker prefixes each record with its length),
-    /// so the ARM reads nothing back (`timing::BATCH_KEY_CFG_READS ==
-    /// 0`); the walker's own readback is charged to
-    /// [`walker_io`](Self::walker_io).
-    pub fn complete_keyed(&mut self, mem: &mut dyn MemBus, handle: JobHandle) -> JobResult {
-        let io = handle.launch_io;
-        let block = self.pe.execute(mem);
-        let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-        let mut wio = IoStats::default();
-        let aggregate = if self.last_job_aggregated {
-            let lo = u64::from(self.read(&mut wio, fc + agg_offsets::AGG_RESULT_LO));
-            let hi = u64::from(self.read(&mut wio, fc + agg_offsets::AGG_RESULT_HI));
-            Some(lo | (hi << 32))
-        } else {
-            None
-        };
-        let (result_bytes, tuples_out) = match self.profile {
-            DriverProfile::Generated => {
-                let rb = self.read(&mut wio, offsets::RESULT_BYTES);
-                let to = self.read(&mut wio, offsets::TUPLES_OUT);
-                (rb, to)
-            }
-            DriverProfile::Baseline => {
-                let map_counter = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-                let count = self.read(&mut wio, map_counter);
-                (block.result_bytes, count)
-            }
-        };
-        self.walker_io.reg_writes += wio.reg_writes;
-        self.walker_io.reg_reads += wio.reg_reads;
-        self.total_io.reg_writes += io.reg_writes;
-        self.total_io.reg_reads += io.reg_reads;
-        JobResult { block, result_bytes, tuples_out, aggregate, io }
+        self.config = None;
     }
 
     /// Read the hardware performance counters (the header's
@@ -348,33 +412,31 @@ impl<P: PeDevice> PeDriver<P> {
     /// [`perf_io`](Self::perf_io), not the job path.
     pub fn read_perf_counters(&mut self) -> PerfReadout {
         let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-        let mut io = IoStats::default();
-        let rd = |drv: &mut Self, io: &mut IoStats, rel: u32| drv.read(io, fc + rel);
-        let out = PerfReadout {
-            tuples_in: rd(self, &mut io, perf_offsets::CNT_TUPLES_IN),
-            tuples_out: rd(self, &mut io, perf_offsets::CNT_TUPLES_OUT),
-            in_stall: rd(self, &mut io, perf_offsets::CNT_IN_STALL),
-            out_stall: rd(self, &mut io, perf_offsets::CNT_OUT_STALL),
-            active: rd(self, &mut io, perf_offsets::CNT_ACTIVE),
-            idle: rd(self, &mut io, perf_offsets::CNT_IDLE),
-            load_beats: rd(self, &mut io, perf_offsets::CNT_LOAD_BEATS),
-            store_beats: rd(self, &mut io, perf_offsets::CNT_STORE_BEATS),
-            stage_drops: (0..self.pe.stages())
-                .map(|s| self.read(&mut io, fc + perf_offsets::CNT_STAGE_DROP_BASE + 4 * s))
-                .collect(),
+        let rd = |drv: &mut Self, rel: u32| {
+            drv.perf_io.reg_reads += 1;
+            drv.pe.mmio_read(fc + rel)
         };
-        self.perf_io.reg_reads += io.reg_reads;
-        self.perf_io.reg_writes += io.reg_writes;
-        out
+        PerfReadout {
+            tuples_in: rd(self, perf_offsets::CNT_TUPLES_IN),
+            tuples_out: rd(self, perf_offsets::CNT_TUPLES_OUT),
+            in_stall: rd(self, perf_offsets::CNT_IN_STALL),
+            out_stall: rd(self, perf_offsets::CNT_OUT_STALL),
+            active: rd(self, perf_offsets::CNT_ACTIVE),
+            idle: rd(self, perf_offsets::CNT_IDLE),
+            load_beats: rd(self, perf_offsets::CNT_LOAD_BEATS),
+            store_beats: rd(self, perf_offsets::CNT_STORE_BEATS),
+            stage_drops: (0..self.pe.stages())
+                .map(|s| rd(self, perf_offsets::CNT_STAGE_DROP_BASE + 4 * s))
+                .collect(),
+        }
     }
 
     /// Clear the hardware performance counters (the header's
     /// `reset_perf_counters`: write-1-to-clear on CNT_CTRL).
     pub fn reset_perf_counters(&mut self) {
         let fc = offsets::STAGE_BASE + self.pe.stages() * offsets::STAGE_STRIDE;
-        let mut io = IoStats::default();
-        self.write(&mut io, fc + perf_offsets::CNT_CTRL, 1);
-        self.perf_io.reg_writes += io.reg_writes;
+        self.pe.mmio_write(fc + perf_offsets::CNT_CTRL, 1);
+        self.perf_io.reg_writes += 1;
     }
 }
 
@@ -430,8 +492,8 @@ mod tests {
 
     #[test]
     fn generated_profile_register_counts_match_timing_model() {
-        // The cosmos-sim timing constants assume 11 writes + 2 reads for
-        // a steady-state single-stage block under the generated firmware.
+        // 11 writes + 2 reads cold, 7 + 2 warm: the counts the Fig. 7(b)
+        // anchor derivation prices.
         let (mut drv, mut mem, ge) = setup();
         let job = FilterJob {
             src: 0,
@@ -471,14 +533,14 @@ mod tests {
         };
         let res = drv.filter_sync(&mut mem, &job);
         // 3 rule writes (no VAL_HI) + 4 addresses + start = 8 writes,
-        // 1 counter read — matching cosmos-sim's BASE_CFG_* constants.
+        // 1 counter read.
         assert_eq!(res.io.reg_writes, 8);
         assert_eq!(res.io.reg_reads, 1);
         assert!(res.tuples_out > 0);
     }
 
     #[test]
-    fn async_then_wait_equals_sync() {
+    fn warm_launch_then_complete_runs_the_job() {
         let (mut drv, mut mem, ge) = setup();
         let job = FilterJob {
             src: 0,
@@ -488,8 +550,8 @@ mod tests {
             rules: vec![FilterRule { lane: 2, op_code: ge, value: 10 }],
             aggregate: None,
         };
-        let io = drv.filter_async(&job);
-        let res = drv.wait_until_done(&mut mem, io);
+        let handle = drv.launch(&job, Invoke::Warm);
+        let res = drv.complete(&mut mem, handle);
         assert_eq!(res.block.tuples_in, 200);
         assert_eq!(res.tuples_out, 180);
     }
@@ -509,14 +571,14 @@ mod tests {
         let first = drv.filter_sync(&mut mem, &cold);
         assert_eq!(first.io.reg_writes, 11);
         // Subsequent keys: the walker re-points the descriptor; the ARM
-        // pays exactly BATCH_KEY_CFG_WRITES = 1 / BATCH_KEY_CFG_READS = 0.
+        // pays exactly one START strobe and reads nothing.
         let keyed = FilterJob {
             rules: vec![FilterRule { lane: 2, op_code: ge, value: 90 }],
             ..cold.clone()
         };
         let walker_before = drv.walker_io;
-        let handle = drv.launch_keyed(&keyed);
-        let res = drv.complete_keyed(&mut mem, handle);
+        let handle = drv.launch(&keyed, Invoke::Keyed);
+        let res = drv.complete(&mut mem, handle);
         assert_eq!((res.io.reg_writes, res.io.reg_reads), (1, 0));
         assert!(drv.walker_io.reg_writes > walker_before.reg_writes);
         assert!(drv.walker_io.reg_reads > walker_before.reg_reads);
@@ -531,7 +593,7 @@ mod tests {
         // The rule cache stayed coherent: relaunching the keyed rules
         // cold skips reconfiguration (steady-state 7 writes).
         let steady = drv.filter_sync(&mut mem, &keyed);
-        assert_eq!(steady.io.reg_writes, 7, "keyed launch kept last_rules in sync");
+        assert_eq!(steady.io.reg_writes, 7, "keyed launch kept the rule cache in sync");
     }
 
     #[test]
@@ -666,11 +728,46 @@ mod tests {
             rules: vec![FilterRule { lane: 2, op_code: ge, value: 50 }],
             aggregate: None,
         };
-        let handle = drv.launch(&job);
+        let handle = drv.launch(&job, Invoke::Cold);
         let res = drv.complete(&mut mem, handle);
         drv.invalidate_config_cache();
         let sync = drv.filter_sync(&mut mem, &job);
         assert_eq!(res, sync);
+    }
+
+    #[test]
+    fn aggregate_unit_is_configured_once_like_the_rules() {
+        let src = "
+            /* @autogen define parser A with input = T, output = T, aggregate = { sum } */
+            typedef struct { uint64_t k; uint32_t v; } T;
+        ";
+        let cfg = elaborate(&parse(src).unwrap(), "A").unwrap();
+        let ge = cfg.op_code("ge").unwrap();
+        let mut drv = PeDriver::new(PeSim::new(cfg), DriverProfile::Generated);
+        let mut mem = VecMem::new(1 << 16);
+        let data: Vec<u8> = (0u64..10)
+            .flat_map(|k| k.to_le_bytes().into_iter().chain((k as u32).to_le_bytes()))
+            .collect();
+        mem.write_bytes(0, &data);
+        let job = FilterJob {
+            src: 0,
+            len: data.len() as u32,
+            dst: 0x8000,
+            capacity: 4096,
+            rules: vec![FilterRule { lane: 1, op_code: ge, value: 4 }],
+            aggregate: Some((AggOp::Sum, 1)),
+        };
+        // Cold: rule (4) + AGG_FIELD/AGG_OP (2) + descriptor (6) + START;
+        // the accumulator halves ride every readback.
+        let first = drv.filter_sync(&mut mem, &job);
+        assert_eq!((first.io.reg_writes, first.io.reg_reads), (13, 4));
+        let next = drv.filter_sync(&mut mem, &job);
+        assert_eq!((next.io.reg_writes, next.io.reg_reads), (7, 4));
+        assert_eq!(first.aggregate, Some(4 + 5 + 6 + 7 + 8 + 9));
+        assert_eq!(next.aggregate, first.aggregate);
+        // A different reduction is a different configuration.
+        let count = FilterJob { aggregate: Some((AggOp::Count, 0)), ..job };
+        assert_eq!(drv.filter_sync(&mut mem, &count).io.reg_writes, 13);
     }
 
     #[test]

@@ -255,8 +255,12 @@ fn emit_printer(out: &mut String, cfg: &PeConfig, input: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndp_ir::elaborate;
+    use crate::driver::{job_protocol, Invoke, Issuer, RegSink};
+    use crate::DriverProfile;
+    use ndp_ir::{elaborate, AggOp};
+    use ndp_pe::oracle::FilterRule;
     use ndp_spec::parse;
+    use std::collections::BTreeSet;
 
     const FIG4: &str = "
         /* @autogen define parser Point3DTo2D with
@@ -264,6 +268,12 @@ mod tests {
            mapping = { output.x = input.y, output.y = input.z } */
         typedef struct { uint32_t x, y, z; } Point3D;
         typedef struct { uint32_t x, y; } Point2D;
+    ";
+
+    /// One filtering stage plus an aggregation unit.
+    const AGG: &str = "
+        /* @autogen define parser Agg with input = R, output = R, aggregate = { sum } */
+        typedef struct { uint64_t id; uint32_t v; } R;
     ";
 
     fn header(src: &str, name: &str) -> String {
@@ -418,5 +428,60 @@ static inline void probe_reset_perf_counters(volatile uint32_t *base) {
 }
 ";
         assert!(h.contains(snapshot), "perf accessor section drifted:\n{h}");
+    }
+
+    /// Register offsets written by the body of the header's C function
+    /// `fn_name`: `{PE}_NAME` arguments resolve through the register
+    /// map, `group + 0xN` arguments relative to stage 0's group.
+    fn header_writes(h: &str, cfg: &PeConfig, fn_name: &str) -> BTreeSet<u32> {
+        let map = RegisterMap::for_config(cfg);
+        let offset = |name: &str| map.regs.iter().find(|r| r.name == name).unwrap().offset;
+        let pe = format!("{}_", cfg.name.to_uppercase());
+        let start = h.find(&format!("{}_{fn_name}(", cfg.name.to_lowercase())).unwrap();
+        let body = &h[start..start + h[start..].find("\n}").unwrap()];
+        body.lines()
+            .filter_map(|l| l.split_once("_reg_write(base, ")?.1.split_once(',').map(|a| a.0))
+            .map(|arg| match arg.strip_prefix("group + 0x") {
+                Some(hex) => offset("FILTER_FIELD_0") + u32::from_str_radix(hex, 16).unwrap(),
+                None => offset(arg.strip_prefix(pe.as_str()).unwrap()),
+            })
+            .collect()
+    }
+
+    /// Register offsets the driver's protocol writes from the ARM.
+    fn protocol_writes(
+        cfg: &PeConfig,
+        rules: &[FilterRule],
+        aggregate: Option<(AggOp, u32)>,
+        invoke: Invoke,
+    ) -> BTreeSet<u32> {
+        struct Writes(BTreeSet<u32>);
+        impl RegSink for Writes {
+            fn write(&mut self, by: Issuer, off: u32, _: u32) {
+                assert_eq!(by, Issuer::Arm);
+                self.0.insert(off);
+            }
+            fn read(&mut self, _: Issuer, _: u32) -> u32 {
+                0
+            }
+            fn wait(&mut self) {}
+        }
+        let mut sink = Writes(BTreeSet::new());
+        let profile = DriverProfile::Generated;
+        job_protocol(&mut sink, profile, cfg.stages, rules, aggregate, (0, 0, 0, 0), invoke);
+        sink.0
+    }
+
+    #[test]
+    fn header_functions_write_what_the_driver_protocol_writes() {
+        let cfg = elaborate(&parse(AGG).unwrap(), "Agg").unwrap();
+        let h = generate_header(&cfg);
+        let rule = [FilterRule { lane: 1, op_code: cfg.op_code("ge").unwrap(), value: 5 }];
+        let warm = protocol_writes(&cfg, &rule, None, Invoke::Warm);
+        assert_eq!(header_writes(&h, &cfg, "filter_async"), warm);
+        let cold = protocol_writes(&cfg, &rule, None, Invoke::Cold);
+        assert_eq!(header_writes(&h, &cfg, "set_filter"), &cold - &warm);
+        let agg = protocol_writes(&cfg, &rule, Some((AggOp::Sum, 1)), Invoke::Cold);
+        assert_eq!(header_writes(&h, &cfg, "set_aggregate"), &agg - &cold);
     }
 }

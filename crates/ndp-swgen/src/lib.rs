@@ -15,10 +15,15 @@
 //!   firmware layer actually uses to drive the simulated PEs. Because
 //!   both render the same map, the register-level protocol exercised in
 //!   simulation is the one the generated C code would perform on the
-//!   device.
+//!   device (the driver module documents where the twin differs). The
+//!   same protocol, counted instead of performed ([`driver::job_io`]),
+//!   is what the timing model, the cost model and the Fig. 7(b) anchor
+//!   charge.
 
 pub mod driver;
 pub mod header;
 
-pub use driver::{DriverProfile, FilterJob, IoStats, JobHandle, JobResult, PeDriver, PerfReadout};
+pub use driver::{
+    job_io, DriverProfile, FilterJob, Invoke, IoStats, JobHandle, JobResult, PeDriver, PerfReadout,
+};
 pub use header::generate_header;

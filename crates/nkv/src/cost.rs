@@ -5,7 +5,9 @@
 //! return byte-identical results; they differ only in simulated time.
 //! This module prices a logical operation on each tier *before* running
 //! it, using the same timing constants the DES charges afterwards
-//! ([`cosmos_sim::timing`]), so [`crate::db::NkvDb::choose_backend`] can
+//! ([`cosmos_sim::timing`]) and the register accesses the generated
+//! driver issues ([`ndp_swgen::job_io`] with the table's own protocol),
+//! so [`crate::db::NkvDb::choose_backend`] can
 //! pick the cheapest feasible tier per query.
 //!
 //! The model is deliberately first-order: per-op firmware tax, per-block
@@ -28,10 +30,10 @@
 use crate::plan::{Backend, LogicalOp};
 use cosmos_sim::timing::{
     cfg_overhead_ns, ARM_BLOCK_SEARCH_NS, ARM_FILTER_PS_PER_BYTE, ARM_MEMTABLE_PROBE_NS,
-    ARM_SW_BLOCK_OVERHEAD_NS, BATCH_KEY_CFG_READS, BATCH_KEY_CFG_WRITES, FIRMWARE_OP_OVERHEAD_NS,
-    FLASH_AGGREGATE_BW, FLASH_PAGE_BYTES, FLASH_PAGE_READ_NS, OURS_CFG_READS, OURS_CFG_WRITES,
-    PL_CLK_NS,
+    ARM_SW_BLOCK_OVERHEAD_NS, FIRMWARE_OP_OVERHEAD_NS, FLASH_AGGREGATE_BW, FLASH_PAGE_BYTES,
+    FLASH_PAGE_READ_NS, PL_CLK_NS,
 };
+use ndp_swgen::{job_io, DriverProfile, Invoke};
 
 /// Sightings of an op class before its hardware estimate switches from
 /// the cold (un-overlapped flash) model to the warm (pipelined) model.
@@ -94,8 +96,8 @@ fn backend_index(b: Backend) -> usize {
 }
 
 /// Table-shape inputs the cost model prices against, captured from the
-/// LSM tree and platform at planning time.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// LSM tree, the table's PEs and the platform at planning time.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostInputs {
     /// Flash-resident data blocks the op may touch.
     pub flash_blocks: u64,
@@ -109,6 +111,9 @@ pub struct CostInputs {
     pub cache_hit_rate: f64,
     /// Keys in the lookup (1 for a point GET, N for a batch).
     pub batch_keys: u64,
+    /// Register protocol and filtering stages of the table's PEs.
+    pub profile: DriverProfile,
+    pub stages: u32,
 }
 
 /// One tier's price. `cost_ns` is `None` when the op does not lower on
@@ -221,10 +226,11 @@ impl AdaptState {
     }
 }
 
-/// Per-block PE configuration tax of the generated accelerators
-/// (register writes + DONE poll for each dispatched block).
-fn hw_block_cfg_ns() -> f64 {
-    cfg_overhead_ns(OURS_CFG_WRITES, OURS_CFG_READS) as f64
+/// PE configuration tax of one block job launched `invoke`-style on
+/// the table's PEs: the generated driver's register accesses, priced.
+fn hw_block_cfg_ns(inputs: &CostInputs, invoke: Invoke) -> f64 {
+    let io = job_io(inputs.profile, inputs.stages, &[], None, invoke);
+    cfg_overhead_ns(io.reg_writes, io.reg_reads) as f64
 }
 
 /// Nanoseconds to stream one byte off the flash array at aggregate
@@ -261,13 +267,14 @@ fn model_ns(class: OpClass, backend: Backend, inputs: &CostInputs, hot: bool) ->
             let per_key = match backend {
                 Backend::Software => ARM_BLOCK_SEARCH_NS as f64,
                 Backend::Hardware | Backend::Hybrid => {
+                    let warm = hw_block_cfg_ns(inputs, Invoke::Warm);
                     let cfg = if keys > 1.0 {
-                        // Batched keys ride one descriptor: one full
-                        // config plus a per-key key-slot write.
-                        cfg_overhead_ns(BATCH_KEY_CFG_WRITES, BATCH_KEY_CFG_READS) as f64
-                            + hw_block_cfg_ns() / keys
+                        // Batched keys ride one descriptor: one launch
+                        // amortized over the batch plus a keyed strobe
+                        // per key.
+                        hw_block_cfg_ns(inputs, Invoke::Keyed) + warm / keys
                     } else {
-                        hw_block_cfg_ns()
+                        warm
                     };
                     cfg + block_bytes / inputs.record_bytes.max(1) as f64 * PL_CLK_NS as f64
                 }
@@ -288,7 +295,8 @@ fn model_ns(class: OpClass, backend: Backend, inputs: &CostInputs, hot: bool) ->
                     let stream_flash = bytes * (1.0 - hit) * flash_ns_per_byte();
                     let tuples = bytes / inputs.record_bytes.max(1) as f64;
                     let stream_pe = tuples * PL_CLK_NS as f64;
-                    let mut hw = blocks * hw_block_cfg_ns() + stream_flash.max(stream_pe);
+                    let mut hw = blocks * hw_block_cfg_ns(inputs, Invoke::Warm)
+                        + stream_flash.max(stream_pe);
                     if !hot {
                         // Cold: assume no read-ahead overlap — every
                         // block pays its page reads serially. This is
@@ -367,6 +375,8 @@ mod tests {
             record_bytes: 88,
             cache_hit_rate: 0.0,
             batch_keys: 1,
+            profile: DriverProfile::Generated,
+            stages: 1,
         }
     }
 
@@ -402,6 +412,8 @@ mod tests {
             record_bytes: 88,
             cache_hit_rate: 0.0,
             batch_keys: 1,
+            profile: DriverProfile::Generated,
+            stages: 1,
         };
         let r = choose(&state, &scan_op(), inputs, |_| true);
         assert_eq!(r.chosen, Backend::Software);
@@ -421,6 +433,8 @@ mod tests {
             record_bytes: 20,
             cache_hit_rate: 0.0,
             batch_keys: 1,
+            profile: DriverProfile::Generated,
+            stages: 1,
         };
         let r = choose(&AdaptState::default(), &LogicalOp::Get { key: 7 }, inputs, |_| true);
         assert_eq!(r.chosen, Backend::Software, "{r:?}");

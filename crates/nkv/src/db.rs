@@ -813,6 +813,8 @@ impl NkvDb {
             record_bytes: t.lsm.record_bytes() as u64,
             cache_hit_rate: self.platform.cache_stats().map_or(0.0, |s| s.hit_rate()),
             batch_keys,
+            profile: t.exec.profile,
+            stages: t.exec.stages,
         })
     }
 

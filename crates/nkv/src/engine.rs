@@ -40,7 +40,7 @@ use cosmos_sim::dram::DramClient;
 use cosmos_sim::{timing, CosmosPlatform, FlashArray, SimNs};
 use ndp_pe::oracle::FilterRule;
 use ndp_pe::pipeline::estimate_block_cycles;
-use ndp_swgen::{DriverProfile, FilterJob};
+use ndp_swgen::{job_io, DriverProfile, FilterJob, Invoke, IoStats};
 use std::collections::HashMap;
 
 /// Per-driver DRAM staging layout: input buffer then output buffer.
@@ -316,14 +316,13 @@ pub(crate) fn schedule_hw_job(
     d: usize,
     staged: SimNs,
     cycles: u64,
-    w: u64,
-    r: u64,
+    io: IoStats,
     load_bytes: Option<u64>,
     store_bytes: Option<u64>,
 ) -> SimNs {
-    let cfg_ns = platform.mmio_cost_ns(w, r);
+    let cfg_ns = platform.mmio_cost_ns(io.reg_writes, io.reg_reads);
     let (cfg_start, cfg_done) = platform.arm.schedule(staged, cfg_ns);
-    platform.trace_reg_access(d as u32, cfg_start, cfg_ns, w, r);
+    platform.trace_reg_access(d as u32, cfg_start, cfg_ns, io.reg_writes, io.reg_reads);
     let (pe_start, pe_done) = exec.pe_servers[d].schedule(cfg_done, cycles * timing::PL_CLK_NS);
     platform.trace_pe_job(d as u32, pe_start, pe_done - pe_start, cycles);
     if let Some(bytes) = load_bytes {
@@ -335,49 +334,24 @@ pub(crate) fn schedule_hw_job(
     }
 }
 
-/// The `eq` operator code of a table's op set (always present in the
-/// standard set; panics if a custom-only set removed it).
-fn eq_code(_ops: &ndp_pe::oracle::OpTable) -> u32 {
-    // The standard encoding from ndp-ir: nop=0, ne=1, eq=2.
-    2
-}
-
-/// How a hardware block job configures the PE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PeInvoke {
-    /// First block of an op: full reconfiguration, rule cache
-    /// invalidated first (the legacy `first_block = true`).
-    Cold,
-    /// Steady-state scan block: rules are cached, addresses/lengths are
-    /// rewritten (the legacy `first_block = false`).
-    Warm,
-    /// Batched-GET steady state: the PL key-list walker re-points the
-    /// descriptor registers itself; the ARM pays a single START strobe
-    /// (`timing::BATCH_KEY_CFG_WRITES`/`READS`).
-    Keyed,
-}
-
 /// One block's worth of hardware filtering (shared by GET and SCAN).
-/// Returns `(tuples_in, tuples_out, pe_cycles, io_writes, io_reads,
-/// bytes_written)`.
-#[allow(clippy::too_many_arguments)]
+/// Returns `(tuples_in, tuples_out, pe_cycles, register_io,
+/// bytes_written)`; the register I/O comes from the generated driver's
+/// protocol, performed (cycle-accurate) or counted (fast path).
 fn hw_filter_block(
     exec: &mut TableExec,
     dram: &mut cosmos_sim::Dram,
     data: &[u8],
     rules: &[FilterRule],
     driver_idx: usize,
-    invoke: PeInvoke,
+    invoke: Invoke,
     out: &mut Vec<u8>,
-) -> (u64, u64, u64, u64, u64, u64) {
+) -> (u64, u64, u64, IoStats, u64) {
     if exec.cycle_accurate {
         let in_addr = driver_idx as u64 * STAGE_STRIDE;
         let out_addr = in_addr + STAGE_OUT_OFF;
         dram.write(in_addr, data);
         let drv = &mut exec.drivers[driver_idx];
-        if invoke == PeInvoke::Cold {
-            drv.invalidate_config_cache();
-        }
         let job = FilterJob {
             src: in_addr,
             len: data.len() as u32,
@@ -386,13 +360,8 @@ fn hw_filter_block(
             rules: rules.to_vec(),
             aggregate: None,
         };
-        let res = if invoke == PeInvoke::Keyed {
-            let handle = drv.launch_keyed(&job);
-            drv.complete_keyed(&mut DramBus(dram), handle)
-        } else {
-            let handle = drv.launch(&job);
-            drv.complete(&mut DramBus(dram), handle)
-        };
+        let handle = drv.launch(&job, invoke);
+        let res = drv.complete(&mut DramBus(dram), handle);
         let start = out.len();
         out.resize(start + res.result_bytes as usize, 0);
         dram.read(out_addr, &mut out[start..]);
@@ -400,8 +369,7 @@ fn hw_filter_block(
             u64::from(res.block.tuples_in),
             u64::from(res.tuples_out),
             res.block.cycles,
-            res.io.reg_writes,
-            res.io.reg_reads,
+            res.io,
             u64::from(res.block.bytes_written),
         )
     } else {
@@ -417,12 +385,8 @@ fn hw_filter_block(
             bytes_written,
             exec.stages,
         );
-        let (w, r) = match invoke {
-            PeInvoke::Keyed => (timing::BATCH_KEY_CFG_WRITES, timing::BATCH_KEY_CFG_READS),
-            PeInvoke::Cold => exec.cfg_io(true, rules.len()),
-            PeInvoke::Warm => exec.cfg_io(false, rules.len()),
-        };
-        (u64::from(stats.tuples_in), u64::from(stats.tuples_out), cycles, w, r, bytes_written)
+        let io = job_io(exec.profile, exec.stages, rules, None, invoke);
+        (u64::from(stats.tuples_in), u64::from(stats.tuples_out), cycles, io, bytes_written)
     }
 }
 
@@ -479,20 +443,19 @@ fn scan_block_job(
     match claim_pe(platform, exec, candidate, count_fallback)? {
         PeGrant::Hw(d) => {
             let before = out.len();
-            let (tin, tout, cycles, w, r, bytes_written) = hw_filter_block(
+            let (tin, tout, cycles, io, bytes_written) = hw_filter_block(
                 exec,
                 &mut platform.dram,
                 data,
                 &plan.pushed,
                 d,
-                if configured[d] { PeInvoke::Warm } else { PeInvoke::Cold },
+                if configured[d] { Invoke::Warm } else { Invoke::Cold },
                 out,
             );
             configured[d] = true;
             report.tuples_in += tin;
             report.tuples_out += tout;
-            report.reg_writes += w;
-            report.reg_reads += r;
+            report.add_io(io);
             // ARM configures the PE, then the PE streams the block;
             // load + store both ride the DRAM port.
             let mut done = schedule_hw_job(
@@ -501,8 +464,7 @@ fn scan_block_job(
                 d,
                 staged,
                 cycles,
-                w,
-                r,
+                io,
                 Some(data.len() as u64),
                 Some(bytes_written),
             );
@@ -915,15 +877,11 @@ pub(crate) fn run_scan_aggregate(
                     next_healthy_pe(&exec.pe_failed, exec.pe_servers.len(), &mut driver_rr);
                 match claim_pe(platform, exec, healthy, true)? {
                     PeGrant::Hw(d) => {
-                        let (mut w, r) = exec.cfg_io(!configured[d], rules.len());
-                        if !configured[d] {
-                            w += 2; // AGG_FIELD + AGG_OP
-                        }
+                        let invoke = if configured[d] { Invoke::Warm } else { Invoke::Cold };
                         configured[d] = true;
-                        // +2 reads: the 64-bit accumulator halves.
-                        let r = r + 2;
-                        report.reg_writes += w;
-                        report.reg_reads += r;
+                        let io =
+                            job_io(exec.profile, exec.stages, rules, Some((agg, lane)), invoke);
+                        report.add_io(io);
                         let cycles = estimate_block_cycles(data.len() as u64, tin, 0, exec.stages);
                         // Aggregates never store: the result stays in a
                         // register, so the job ends at PE-done.
@@ -933,8 +891,7 @@ pub(crate) fn run_scan_aggregate(
                             d,
                             staged,
                             cycles,
-                            w,
-                            r,
+                            io,
                             Some(data.len() as u64),
                             None,
                         )
@@ -957,6 +914,68 @@ pub(crate) fn run_scan_aggregate(
     report.result_bytes = 8;
     report.sim_ns = host_done - now;
     Ok((acc.value(), acc.any(), report))
+}
+
+/// Look `key` up in one staged block: an ARM binary search on the
+/// software backend, else PE 0 filtering with the plan's key-equality
+/// rule re-pointed at `key` — launched cold, or keyed once an earlier
+/// key of the batch has `configured` the PE. A retired or freshly hung
+/// PE 0 degrades the search to the ARM, like the SCAN path. Returns the
+/// record (if found) and the finish time.
+#[allow(clippy::too_many_arguments)]
+fn search_staged_block(
+    platform: &mut CosmosPlatform,
+    lsm: &LsmTree,
+    exec: &mut TableExec,
+    plan: &PhysicalPlan,
+    key: u64,
+    data: &[u8],
+    staged: SimNs,
+    configured: &mut bool,
+    report: &mut SimReport,
+) -> NkvResult<(Option<Vec<u8>>, SimNs)> {
+    let grant = if plan.backend == Backend::Software {
+        PeGrant::Sw { hung: false }
+    } else {
+        // One block, no parallelism to exploit: always PE 0.
+        let pe_down = exec.pe_failed.first().copied().unwrap_or(false);
+        claim_pe(platform, exec, if pe_down { None } else { Some(0) }, true)?
+    };
+    match grant {
+        PeGrant::Sw { hung } => {
+            let rec = search_block(data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
+            let resume = sw_resume_at(exec, staged, hung);
+            let (_, done) = platform.arm.schedule(resume, timing::ARM_BLOCK_SEARCH_NS);
+            Ok((rec, done))
+        }
+        PeGrant::Hw(d) => {
+            let invoke = if *configured { Invoke::Keyed } else { Invoke::Cold };
+            *configured = true;
+            // Lowering pushes exactly the key-equality rule.
+            let rules = [FilterRule { value: key, ..plan.pushed[0] }];
+            let mut out = Vec::new();
+            let (tin, tout, cycles, io, bytes_written) =
+                hw_filter_block(exec, &mut platform.dram, data, &rules, d, invoke, &mut out);
+            report.tuples_in += tin;
+            report.tuples_out += tout;
+            report.add_io(io);
+            // GET has no PE load phase in the model (the block is
+            // already staged for the search); only the one-record store
+            // rides the DRAM port.
+            let done =
+                schedule_hw_job(platform, exec, d, staged, cycles, io, None, Some(bytes_written));
+            let n = lsm.record_bytes();
+            let rec = match out.len() {
+                0 => None,
+                len => Some(
+                    out.get(..n)
+                        .ok_or(NkvError::ResultDecode { offset: 0, need: n, len })?
+                        .to_vec(),
+                ),
+            };
+            Ok((rec, done))
+        }
+    }
 }
 
 /// Execute a lowered point-lookup plan: memtable probe, then the
@@ -997,7 +1016,7 @@ pub(crate) fn run_get(
         // blocks; the page content is already cached in `sst`).
         if let Some(&page) = sst.index_pages.first() {
             let idx_done = index_page_read(platform, exec, sst.id, page, t)?;
-            let (_, parsed) = platform.arm.schedule(idx_done, 2_000);
+            let (_, parsed) = platform.arm.schedule(idx_done, timing::ARM_INDEX_PARSE_NS);
             t = parsed;
         }
         if sst.is_tombstoned(key) {
@@ -1012,74 +1031,17 @@ pub(crate) fn run_get(
         report.blocks += 1;
         report.bytes_scanned += data.len() as u64;
 
-        let (found, done) = if plan.backend == Backend::Software {
-            let rec = search_block(&data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
-            let (_, done) = platform.arm.schedule(staged, timing::ARM_BLOCK_SEARCH_NS);
-            (rec, done)
-        } else {
-            // GET always targets PE 0 (one block, no parallelism to
-            // exploit); a retired or freshly hung PE 0 degrades the
-            // search to the ARM, like the SCAN path.
-            let pe_down = exec.pe_failed.first().copied().unwrap_or(false);
-            let candidate = if pe_down { None } else { Some(0) };
-            match claim_pe(platform, exec, candidate, true)? {
-                PeGrant::Sw { hung } => {
-                    let rec = search_block(&data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
-                    let (_, done) = platform
-                        .arm
-                        .schedule(sw_resume_at(exec, staged, hung), timing::ARM_BLOCK_SEARCH_NS);
-                    (rec, done)
-                }
-                PeGrant::Hw(d) => {
-                    // Key-equality filter on the PE; every GET reconfigures
-                    // the reference value, so no rule caching applies.
-                    let rules = [FilterRule { lane: 0, op_code: eq_code(&exec.ops), value: key }];
-                    let mut out = Vec::new();
-                    let (tin, tout, cycles, w, r, bytes_written) = hw_filter_block(
-                        exec,
-                        &mut platform.dram,
-                        &data,
-                        &rules,
-                        d,
-                        PeInvoke::Cold,
-                        &mut out,
-                    );
-                    report.tuples_in += tin;
-                    report.tuples_out += tout;
-                    report.reg_writes += w;
-                    report.reg_reads += r;
-                    // GET has no PE load phase in the model (the block is
-                    // already staged for the search); only the one-record
-                    // store rides the DRAM port.
-                    let done = schedule_hw_job(
-                        platform,
-                        exec,
-                        d,
-                        staged,
-                        cycles,
-                        w,
-                        r,
-                        None,
-                        Some(bytes_written),
-                    );
-                    let rec = if out.is_empty() {
-                        None
-                    } else {
-                        let n = lsm.record_bytes();
-                        Some(
-                            out.get(..n)
-                                .ok_or(NkvError::ResultDecode {
-                                    offset: 0,
-                                    need: n,
-                                    len: out.len(),
-                                })?
-                                .to_vec(),
-                        )
-                    };
-                    (rec, done)
-                }
-            }
-        };
+        let (found, done) = search_staged_block(
+            platform,
+            lsm,
+            exec,
+            plan,
+            key,
+            &data,
+            staged,
+            &mut false,
+            &mut report,
+        )?;
         t = done;
         if let Some(rec) = found {
             let (nv_start, host) = platform.nvme.transfer(t, rec.len() as u64);
@@ -1108,15 +1070,16 @@ struct BatchShared {
 /// One key's lookup inside a batched GET: [`run_get`]'s walk with three
 /// batch twists — index pages and staged blocks are shared through
 /// `shared`, the PE is configured cold only by the batch's first
-/// hardware block (`batch_configured`; every later key is a
-/// [`PeInvoke::Keyed`] strobe), and the per-key NVMe result transfer is
-/// left to the caller so results stream back in key order.
+/// hardware block (`batch_configured`; every later key is an
+/// [`Invoke::Keyed`] strobe re-pointing the plan's key rule), and the
+/// per-key NVMe result transfer is left to the caller so results stream
+/// back in key order.
 #[allow(clippy::too_many_arguments)]
 fn batched_key_walk(
     platform: &mut CosmosPlatform,
     lsm: &LsmTree,
     exec: &mut TableExec,
-    backend: Backend,
+    plan: &PhysicalPlan,
     key: u64,
     start: SimNs,
     shared: &mut BatchShared,
@@ -1138,7 +1101,7 @@ fn batched_key_walk(
                 Some(&parsed) => t.max(parsed),
                 None => {
                     let idx_done = index_page_read(platform, exec, sst.id, page, t)?;
-                    let (_, parsed) = platform.arm.schedule(idx_done, 2_000);
+                    let (_, parsed) = platform.arm.schedule(idx_done, timing::ARM_INDEX_PARSE_NS);
                     shared.index_parsed.insert(sst.id, parsed);
                     parsed
                 }
@@ -1162,68 +1125,17 @@ fn batched_key_walk(
             }
         };
 
-        let (found, done) = if backend == Backend::Software {
-            let rec = search_block(&data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
-            let (_, done) = platform.arm.schedule(staged, timing::ARM_BLOCK_SEARCH_NS);
-            (rec, done)
-        } else {
-            let pe_down = exec.pe_failed.first().copied().unwrap_or(false);
-            let candidate = if pe_down { None } else { Some(0) };
-            match claim_pe(platform, exec, candidate, true)? {
-                PeGrant::Sw { hung } => {
-                    let rec = search_block(&data, lsm.record_bytes(), key)?.map(<[u8]>::to_vec);
-                    let (_, done) = platform
-                        .arm
-                        .schedule(sw_resume_at(exec, staged, hung), timing::ARM_BLOCK_SEARCH_NS);
-                    (rec, done)
-                }
-                PeGrant::Hw(d) => {
-                    let invoke = if *batch_configured { PeInvoke::Keyed } else { PeInvoke::Cold };
-                    let rules = [FilterRule { lane: 0, op_code: eq_code(&exec.ops), value: key }];
-                    let mut out = Vec::new();
-                    let (tin, tout, cycles, w, r, bytes_written) = hw_filter_block(
-                        exec,
-                        &mut platform.dram,
-                        &data,
-                        &rules,
-                        d,
-                        invoke,
-                        &mut out,
-                    );
-                    *batch_configured = true;
-                    report.tuples_in += tin;
-                    report.tuples_out += tout;
-                    report.reg_writes += w;
-                    report.reg_reads += r;
-                    let done = schedule_hw_job(
-                        platform,
-                        exec,
-                        d,
-                        staged,
-                        cycles,
-                        w,
-                        r,
-                        None,
-                        Some(bytes_written),
-                    );
-                    let rec = if out.is_empty() {
-                        None
-                    } else {
-                        let n = lsm.record_bytes();
-                        Some(
-                            out.get(..n)
-                                .ok_or(NkvError::ResultDecode {
-                                    offset: 0,
-                                    need: n,
-                                    len: out.len(),
-                                })?
-                                .to_vec(),
-                        )
-                    };
-                    (rec, done)
-                }
-            }
-        };
+        let (found, done) = search_staged_block(
+            platform,
+            lsm,
+            exec,
+            plan,
+            key,
+            &data,
+            staged,
+            batch_configured,
+            report,
+        )?;
         t = done;
         if let Some(rec) = found {
             return Ok((Some(rec), t));
@@ -1280,7 +1192,7 @@ pub(crate) fn run_batched_get(
             platform,
             lsm,
             exec,
-            plan.backend,
+            plan,
             key,
             t_start,
             &mut shared,

@@ -38,10 +38,11 @@
 
 use crate::engine::ParallelScanStats;
 use crate::plan::PlanCaps;
-use cosmos_sim::{timing, Server, SimNs};
+use cosmos_sim::{Server, SimNs};
+use ndp_ir::CmpOp;
 use ndp_pe::oracle::{BlockProcessor, OpTable};
 use ndp_pe::{MemBus, PeDevice};
-use ndp_swgen::{DriverProfile, PeDriver};
+use ndp_swgen::{DriverProfile, IoStats, PeDriver};
 
 /// Simulated-time and traffic report of one operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -63,6 +64,14 @@ pub struct SimReport {
     /// Extra block reads spent confirming bloom-filter hits during the
     /// scan shadow check.
     pub shadow_confirm_reads: u64,
+}
+
+impl SimReport {
+    /// Add one PE job's register traffic.
+    pub(crate) fn add_io(&mut self, io: IoStats) {
+        self.reg_writes += io.reg_writes;
+        self.reg_reads += io.reg_reads;
+    }
 }
 
 /// Memory-bus adapter exposing the platform DRAM to PE devices.
@@ -185,25 +194,7 @@ impl TableExec {
             parallel_pes: self.parallel_pes,
             aggregates: self.aggregates.clone(),
             identity_transform: self.processor.identity_transform(),
-        }
-    }
-
-    pub(crate) fn cfg_io(&self, first_block: bool, rules: usize) -> (u64, u64) {
-        // Mirrors the PeDriver protocol: rule registers are written once
-        // per scan (cached), addresses/len/start per block.
-        let per_rule = match self.profile {
-            DriverProfile::Generated => 4,
-            DriverProfile::Baseline => 3,
-        };
-        let nop_fills = (self.stages as usize).saturating_sub(rules) as u64;
-        let rule_writes = if first_block { per_rule * rules as u64 + nop_fills } else { 0 };
-        match self.profile {
-            DriverProfile::Generated => {
-                (rule_writes + timing::OURS_CFG_WRITES, timing::OURS_CFG_READS)
-            }
-            DriverProfile::Baseline => {
-                (rule_writes + timing::BASE_CFG_WRITES, timing::BASE_CFG_READS)
-            }
+            eq_code: self.ops.code(CmpOp::Eq),
         }
     }
 }
@@ -216,7 +207,7 @@ mod tests {
     use crate::placement::PageAllocator;
     use crate::plan::{Backend, LogicalOp, PhysicalPlan};
     use cosmos_sim::dram::DramClient;
-    use cosmos_sim::{CosmosConfig, CosmosPlatform};
+    use cosmos_sim::{timing, CosmosConfig, CosmosPlatform};
     use ndp_ir::elaborate;
     use ndp_pe::oracle::FilterRule;
     use ndp_pe::{BaselinePe, PeSim};

@@ -20,6 +20,9 @@
 //!   rest as a residual ARM post-filter over the PE's output — only
 //!   legal when the PE's transformation is the identity (otherwise the
 //!   residual lanes no longer exist in the output tuples);
+//! * hardware and hybrid GETs push the key-equality rule `lane0 == key`
+//!   into PE stage 0, encoded with the PE's own `eq` code; a PE
+//!   generated without `eq` rejects them;
 //! * aggregates stay register-resident on the PE, so a hybrid
 //!   aggregate with a residual is rejected (there is no output stream
 //!   to post-filter);
@@ -85,6 +88,9 @@ pub struct PlanCaps {
     /// Whether the PE's transformation is the identity (output tuples
     /// are byte-for-byte the input tuples). Gates hybrid residuals.
     pub identity_transform: bool,
+    /// The PEs' `eq` operator encoding (`None` when the PEs were
+    /// generated without `eq`, which leaves GETs software-only).
+    pub eq_code: Option<u32>,
 }
 
 /// The physical operator at the root of a plan.
@@ -131,7 +137,7 @@ impl PhysicalPlan {
             LogicalOp::Get { key } => Ok(PhysicalPlan {
                 op: PhysOp::PointLookup { key: *key },
                 backend,
-                pushed: Vec::new(),
+                pushed: Self::key_rule(*key, backend, caps, table)?,
                 residual: Vec::new(),
                 parallel_pes: 0,
             }),
@@ -148,7 +154,7 @@ impl PhysicalPlan {
                 Ok(PhysicalPlan {
                     op: PhysOp::BatchedGet { keys: keys.clone() },
                     backend,
-                    pushed: Vec::new(),
+                    pushed: Self::key_rule(keys[0], backend, caps, table)?,
                     residual: Vec::new(),
                     parallel_pes: 0,
                 })
@@ -188,6 +194,28 @@ impl PhysicalPlan {
                 })
             }
         }
+    }
+
+    /// The key-equality rule a hardware GET pushes into PE stage 0 (a
+    /// batch pushes its first key's; the key-list walker re-points it
+    /// per key). Software GETs push nothing.
+    fn key_rule(
+        key: u64,
+        backend: Backend,
+        caps: &PlanCaps,
+        table: &str,
+    ) -> NkvResult<Vec<FilterRule>> {
+        if backend == Backend::Software {
+            return Ok(Vec::new());
+        }
+        let op_code = caps.eq_code.ok_or_else(|| {
+            NkvError::Config(format!(
+                "table `{table}`'s PEs were not generated with the `eq` operator, \
+                 so a {} GET cannot match keys on them",
+                backend.name()
+            ))
+        })?;
+        Ok(vec![FilterRule { lane: 0, op_code, value: key }])
     }
 
     fn lower_scan(
@@ -372,6 +400,7 @@ mod tests {
             parallel_pes: parallel,
             aggregates: vec![ndp_ir::AggOp::Sum],
             identity_transform: identity,
+            eq_code: Some(2),
         }
     }
 
@@ -480,6 +509,27 @@ mod tests {
                 PhysicalPlan::lower(&LogicalOp::MultiGet { keys }, Backend::Hardware, &c, "t")
                     .unwrap_err();
             assert!(matches!(err, NkvError::Config(_)), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn hardware_gets_push_the_pes_own_eq_code_or_are_refused() {
+        let mut c = caps(1, true, 0);
+        c.eq_code = Some(1);
+        for backend in [Backend::Hardware, Backend::Hybrid] {
+            let get = PhysicalPlan::lower(&LogicalOp::Get { key: 7 }, backend, &c, "t").unwrap();
+            assert_eq!(get.pushed, vec![rule(0, 1, 7)]);
+            let batch = LogicalOp::MultiGet { keys: vec![9, 3] };
+            assert_eq!(PhysicalPlan::lower(&batch, backend, &c, "t").unwrap().pushed[0].op_code, 1);
+        }
+        c.eq_code = None;
+        for op in [LogicalOp::Get { key: 7 }, LogicalOp::MultiGet { keys: vec![9, 3] }] {
+            for backend in [Backend::Hardware, Backend::Hybrid] {
+                let err = PhysicalPlan::lower(&op, backend, &c, "t").unwrap_err();
+                assert!(matches!(&err, NkvError::Config(m) if m.contains("`eq`")), "{err:?}");
+            }
+            let sw = PhysicalPlan::lower(&op, Backend::Software, &c, "t").unwrap();
+            assert!(sw.pushed.is_empty());
         }
     }
 

@@ -2,7 +2,8 @@
 # Full local gate: formatting, lints (deny warnings), the test suite
 # (including the golden-artifact snapshots and the plan-,
 # cache-equivalence, cluster-chaos, batched-GET and adaptive-planner
-# differential suites), a perfbench build + smoke run, the
+# differential suites), the register-conservation suite and its
+# no-hand-copied-counts grep, a perfbench build + smoke run, the
 # observability example (+ trace-JSON
 # validity), a fast-mode repro run
 # diffed against the committed reference output, a fixed-seed loadgen
@@ -62,6 +63,21 @@ echo "==> batched-GET equivalence: key-list batches match the unbatched bytes"
 # shards) must return the unbatched bytes with per-key typed errors,
 # and a batch of one must be the legacy path.
 cargo test -q --test batched_get_equivalence
+
+echo "==> register conservation: the charged PE register traffic is the generated driver's"
+# Named gate for the one register protocol (ndp_swgen::driver): job_io
+# must count exactly what a real PeDriver performs, the cycle-accurate
+# and fast-path engines must charge identical traffic on every PE shape,
+# profile and op, and the Fig. 7(b) anchor must follow from those counts.
+cargo test -q --test register_conservation
+
+echo "==> no hand-copied register counts"
+# Register counts come from the driver's protocol alone; timing
+# constants restating them must not come back.
+if grep -rn 'CFG_WRITES\|CFG_READS' crates/; then
+    echo "error: hand-copied register counts (CFG_WRITES/CFG_READS) under crates/" >&2
+    exit 1
+fi
 
 echo "==> adaptive planner equivalence: the cost-based tier choice never changes bytes"
 # Named gate for the adaptive planner: whatever tier the cost model

@@ -6,12 +6,13 @@
 //! where it matters, against the legacy per-key path on an identical
 //! device):
 //!
-//! 1. **equivalence**: every backend x batch size {1, 2, 16, 64}
-//!    returns byte-identical records for present keys and `Ok(None)`
-//!    for absent ones;
+//! 1. **equivalence**: every PE operator set x backend x batch size
+//!    {1, 2, 16, 64} returns byte-identical records for present keys
+//!    and `Ok(None)` for absent ones — or, on a PE generated without
+//!    `eq`, a typed `NkvError::Config` from every hardware GET;
 //! 2. **batch-of-1 is the legacy path**: a singleton key list folds to
 //!    the point-lookup plan and reproduces `get`'s record *and* its
-//!    simulated nanoseconds exactly;
+//!    simulated nanoseconds exactly, on every operator set;
 //! 3. **fault weather**: transient/correctable flash faults and PE
 //!    hangs mid-batch degrade exactly like the per-key path — typed
 //!    errors attributed to the right key, never a panic, never silent
@@ -30,7 +31,9 @@ use cosmos_sim::{DeviceFaultKind, DeviceFaultPlan};
 use ndp_ir::elaborate;
 use ndp_workload::spec::{PAPER_PE, PAPER_REF_SPEC};
 use ndp_workload::{Paper, PaperGen, PubGraphConfig, SplitMix64};
-use nkv::{Backend, ClusterConfig, NkvCluster, NkvDb, NkvError, ReadPolicy, TableConfig};
+use nkv::{
+    Backend, ClusterConfig, LogicalOp, NkvCluster, NkvDb, NkvError, ReadPolicy, TableConfig,
+};
 use std::collections::BTreeMap;
 
 const BATCHES: [usize; 4] = [1, 2, 16, 64];
@@ -41,10 +44,21 @@ fn encode(p: &Paper) -> Vec<u8> {
     v
 }
 
-/// Tiny LSM thresholds so a few hundred records produce the multi-SST
-/// shape whose index walks batching actually shares.
+/// Operator requests the GET checks generate the paper PE with: the
+/// standard set (`eq` = 2), `{ eq, ne }` (encodings follow the request
+/// order, so `eq` = 1 and `ne` = 2), and a set without `eq`.
+const OPERATOR_SETS: [&str; 3] = ["", ", operators = { eq, ne }", ", operators = { lt }"];
+
 fn table_cfg() -> TableConfig {
-    let m = ndp_spec::parse(PAPER_REF_SPEC).unwrap();
+    table_cfg_with("")
+}
+
+/// Tiny LSM thresholds so a few hundred records produce the multi-SST
+/// shape whose index walks batching actually shares; `ops` is appended
+/// to the paper PE's annotation.
+fn table_cfg_with(ops: &str) -> TableConfig {
+    let spec = PAPER_REF_SPEC.replace("output = Paper */", &format!("output = Paper{ops} */"));
+    let m = ndp_spec::parse(&spec).unwrap();
     let mut cfg = TableConfig::new(elaborate(&m, PAPER_PE).unwrap());
     cfg.lsm.memtable_bytes = 8 * 1024;
     cfg.lsm.c1_sst_limit = 4;
@@ -61,8 +75,12 @@ fn record_for(key: u64) -> Vec<u8> {
 /// A store with `n` records spread across the memtable and several
 /// overlapping SSTs, plus its model.
 fn build_db(n: u64) -> (NkvDb, BTreeMap<u64, Vec<u8>>) {
+    build_db_with("", n)
+}
+
+fn build_db_with(ops: &str, n: u64) -> (NkvDb, BTreeMap<u64, Vec<u8>>) {
     let mut db = NkvDb::default_db();
-    db.create_table("papers", table_cfg()).unwrap();
+    db.create_table("papers", table_cfg_with(ops)).unwrap();
     let mut model = BTreeMap::new();
     for key in 1..=n {
         let r = record_for(key);
@@ -95,27 +113,44 @@ fn key_schedule(seed: u64, n_keys: u64, len: usize) -> Vec<u64> {
     keys
 }
 
+/// Whether a hardware GET must be refused: the PE has no `eq`.
+fn lacks_eq(ops: &str, mode: Backend) -> bool {
+    mode != Backend::Software && table_cfg_with(ops).pe.op_code("eq").is_none()
+}
+
+fn assert_refused<T: std::fmt::Debug>(res: Result<T, NkvError>, what: &str) {
+    match res {
+        Err(NkvError::Config(msg)) => assert!(msg.contains("`eq`"), "{what}: {msg}"),
+        other => panic!("{what}: a PE without `eq` must refuse with NkvError::Config: {other:?}"),
+    }
+}
+
 #[test]
 fn every_backend_and_batch_size_matches_the_model() {
     let schedule = key_schedule(0xBA7C, 400, 128);
-    for mode in [Backend::Hardware, Backend::Software] {
-        for batch in BATCHES {
-            let (mut db, model) = build_db(400);
-            for chunk in schedule.chunks(batch) {
-                let (results, report) = db
-                    .multi_get("papers", chunk, mode)
-                    .unwrap_or_else(|e| panic!("mode={mode:?} batch={batch}: multi_get -> {e}"));
-                assert_eq!(results.len(), chunk.len(), "mode={mode:?} batch={batch}");
-                assert!(report.sim_ns > 0, "mode={mode:?} batch={batch}");
-                for (key, res) in chunk.iter().zip(results) {
-                    let got = res.unwrap_or_else(|e| {
-                        panic!("mode={mode:?} batch={batch}: get({key}) -> {e}")
-                    });
-                    assert_eq!(
-                        got,
-                        model.get(key).cloned(),
-                        "mode={mode:?} batch={batch}: get({key}) diverged from the model"
-                    );
+    for ops in OPERATOR_SETS {
+        for mode in [Backend::Hardware, Backend::Software] {
+            for batch in BATCHES {
+                let (mut db, model) = build_db_with(ops, 400);
+                let ctx = format!("ops=[{ops}] mode={mode:?} batch={batch}");
+                for chunk in schedule.chunks(batch) {
+                    let res = db.multi_get("papers", chunk, mode);
+                    if lacks_eq(ops, mode) {
+                        assert_refused(res, &ctx);
+                        continue;
+                    }
+                    let (results, report) =
+                        res.unwrap_or_else(|e| panic!("{ctx}: multi_get -> {e}"));
+                    assert_eq!(results.len(), chunk.len(), "{ctx}");
+                    assert!(report.sim_ns > 0, "{ctx}");
+                    for (key, res) in chunk.iter().zip(results) {
+                        let got = res.unwrap_or_else(|e| panic!("{ctx}: get({key}) -> {e}"));
+                        assert_eq!(
+                            got,
+                            model.get(key).cloned(),
+                            "{ctx}: get({key}) diverged from the model"
+                        );
+                    }
                 }
             }
         }
@@ -124,18 +159,42 @@ fn every_backend_and_batch_size_matches_the_model() {
 
 #[test]
 fn batch_of_one_is_the_legacy_path_to_the_nanosecond() {
-    let (mut legacy, _) = build_db(300);
-    let (mut batched, _) = build_db(300);
-    for mode in [Backend::Hardware, Backend::Software] {
-        for key in [1u64, 77, 150, 299, 300, 9_999] {
-            let (want, want_rep) = legacy.get("papers", key, mode).unwrap();
-            let (results, got_rep) = batched.multi_get("papers", &[key], mode).unwrap();
-            let [got] = <[_; 1]>::try_from(results).unwrap();
-            assert_eq!(got.unwrap(), want, "mode={mode:?} key={key}");
-            assert_eq!(
-                got_rep.sim_ns, want_rep.sim_ns,
-                "mode={mode:?} key={key}: a singleton batch must cost exactly the legacy path"
-            );
+    for ops in OPERATOR_SETS {
+        let (mut legacy, model) = build_db_with(ops, 300);
+        let (mut batched, _) = build_db_with(ops, 300);
+        for mode in [Backend::Hardware, Backend::Software] {
+            for key in [1u64, 77, 150, 299, 300, 9_999] {
+                let ctx = format!("ops=[{ops}] mode={mode:?} key={key}");
+                if lacks_eq(ops, mode) {
+                    assert_refused(legacy.get("papers", key, mode), &ctx);
+                    assert_refused(batched.multi_get("papers", &[key], mode), &ctx);
+                    continue;
+                }
+                let (want, want_rep) = legacy.get("papers", key, mode).unwrap();
+                assert_eq!(want, model.get(&key).cloned(), "{ctx}: get diverged from the model");
+                let (results, got_rep) = batched.multi_get("papers", &[key], mode).unwrap();
+                let [got] = <[_; 1]>::try_from(results).unwrap();
+                assert_eq!(got.unwrap(), want, "{ctx}");
+                assert_eq!(
+                    got_rep.sim_ns, want_rep.sim_ns,
+                    "{ctx}: a singleton batch must cost exactly the legacy path"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn adaptive_planner_prices_hardware_gets_without_eq_as_infeasible() {
+    for ops in OPERATOR_SETS {
+        let (db, _) = build_db_with(ops, 64);
+        for op in [LogicalOp::Get { key: 5 }, LogicalOp::MultiGet { keys: vec![5, 9] }] {
+            let (chosen, report) = db.choose_backend("papers", &op).unwrap();
+            for tier in report.tiers {
+                let infeasible = lacks_eq(ops, tier.backend);
+                assert_eq!(tier.cost_ns.is_none(), infeasible, "ops=[{ops}] {op:?} {tier:?}");
+            }
+            assert!(!lacks_eq(ops, chosen), "ops=[{ops}] {op:?}: chose {chosen:?}");
         }
     }
 }
