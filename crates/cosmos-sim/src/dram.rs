@@ -144,12 +144,6 @@ impl Dram {
         self.faults = None;
     }
 
-    /// Switch the port timeline between the strict conveyor and
-    /// gap-aware backfill (see `cosmos_sim::Server::set_backfill`).
-    pub fn set_backfill(&mut self, on: bool) {
-        self.port.set_backfill(on);
-    }
-
     /// Stall counters since install (zeros when no plan is installed).
     pub fn fault_stats(&self) -> DramFaultStats {
         self.faults.as_ref().map(|f| f.stats).unwrap_or_default()

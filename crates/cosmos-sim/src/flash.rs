@@ -365,22 +365,6 @@ impl FlashArray {
         self.faults = None;
     }
 
-    /// Switch every LUN, channel bus and controller timeline between
-    /// the strict conveyor and gap-aware backfill (see
-    /// [`Server::set_backfill`]); the queue engine enables backfill for
-    /// the duration of a multi-client run.
-    pub fn set_backfill(&mut self, on: bool) {
-        for l in &mut self.luns {
-            l.set_backfill(on);
-        }
-        for c in &mut self.channels {
-            c.set_backfill(on);
-        }
-        for c in &mut self.controllers {
-            c.set_backfill(on);
-        }
-    }
-
     /// Explicitly inject one fault at `addr`. Transient faults clear
     /// after their failure budget; persistent faults last until
     /// [`FlashArray::heal_page`]; correctable faults hit every read of

@@ -269,44 +269,18 @@ impl CosmosPlatform {
 
     /// Expose NVMe queue pairs with geometry `cfg`. Until this is
     /// called the platform has no queue state at all and every
-    /// operation takes the serial path. While queues are enabled, every
-    /// resource timeline runs in gap-aware backfill mode so commands of
-    /// different clients overlap the way pipelined hardware would (the
-    /// serial path's strictly monotone arrivals make the two modes
-    /// coincide, so enabling queues never perturbs serial results).
+    /// operation takes the serial path. Queued commands of different
+    /// clients overlap on the same gap-aware resource timelines the
+    /// serial path uses (see [`crate::Server`]): a later command's
+    /// early job fits in an idle gap before an earlier command's later
+    /// reservation, the way pipelined hardware would run it.
     pub fn enable_queues(&mut self, cfg: NvmeQueueConfig) {
         self.queues = Some(NvmeQueues::new(cfg));
-        self.set_backfill(true);
     }
 
-    /// Drop all queue state (in-flight bookkeeping and counters) and
-    /// return the resource timelines to the strict conveyor.
+    /// Drop all queue state (in-flight bookkeeping and counters).
     pub fn disable_queues(&mut self) {
         self.queues = None;
-        self.set_backfill(false);
-    }
-
-    /// Switch every device timeline (ARM, NVMe link, flash, DRAM)
-    /// between the strict conveyor and gap-aware backfill.
-    fn set_backfill(&mut self, on: bool) {
-        self.arm.set_backfill(on);
-        self.nvme.set_backfill(on);
-        self.flash.set_backfill(on);
-        self.dram.set_backfill(on);
-    }
-
-    /// Multi-PE job dispatch: a parallel scan plan expands several
-    /// per-PE job chains that overlap in simulated time but are walked
-    /// sequentially in host order, so every shared timeline must accept
-    /// out-of-order arrivals while the chains are expanded — the same
-    /// gap-aware backfill the queue engine uses. The off-switch is a
-    /// no-op while queues are enabled (the queue run owns the mode and
-    /// restores it when it ends).
-    pub fn set_parallel_dispatch(&mut self, on: bool) {
-        if !on && self.queues.is_some() {
-            return;
-        }
-        self.set_backfill(on);
     }
 
     /// The queue pairs, when enabled.

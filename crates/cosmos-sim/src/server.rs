@@ -1,31 +1,29 @@
-//! Queueing primitives: FCFS servers and bandwidth links.
+//! Queueing primitives: gap-aware servers and bandwidth links.
 //!
-//! All platform resources (flash channel buses, controller queues, the
-//! DRAM port, the ARM core, the NVMe link) are modeled as single FCFS
-//! servers: a request arriving at time `t` starts at the first point at
-//! or after `t` where the resource is free for its whole service time.
-//! This is the classic "resource timeline" discrete-event style —
-//! deterministic and exact for the pipelined bulk transfers that
-//! dominate the paper's workloads.
+//! All platform resources (flash LUNs, channel buses, controller
+//! queues, the DRAM port, the ARM core, the NVMe link, the PEs) are
+//! modeled as single servers with a gap-aware resource timeline:
+//! reservations are kept as disjoint busy intervals, and a job arriving
+//! at `t` starts at the first point at or after `t` where the resource
+//! is free for its whole service time. This is the classic "resource
+//! timeline" discrete-event style — deterministic and exact for the
+//! pipelined bulk transfers that dominate the paper's workloads.
 //!
-//! The timeline can be *gap-aware*: reservations are kept as disjoint
-//! busy intervals, and with [`Server::set_backfill`] enabled a job may
-//! start in an idle gap that lies before a later reservation. The
-//! default is the strict conveyor (`start = max(arrival, busy_until)`),
-//! which every serial one-op-at-a-time code path uses — so all paper
-//! figures are computed exactly as before, byte for byte. The queued
-//! engine (`nkv::queue`) switches the device into backfill mode for the
-//! duration of a multi-client run: there, command N+1 may need a
-//! resource at a wall time earlier than command N's *future*
-//! reservation on it — e.g. the ARM core is touched at the start
-//! (memtable probe) and end (PE config writes) of every GET, and under
-//! the strict conveyor each command's first ARM job would queue behind
-//! its predecessor's last one even though the core sits idle in
-//! between, serializing the whole device. Backfill restores the
-//! overlap a real pipelined device has. Note that for monotonically
-//! non-decreasing arrivals the two modes provably coincide: a usable
-//! gap at or after a new arrival would require an earlier job to have
-//! started later than the new arrival, contradicting monotonicity.
+//! There is one scheduling rule for every caller. Gaps matter whenever
+//! jobs are *expanded* out of arrival order, which happens on the
+//! serial path as well as under queued load:
+//! - a serial hardware scan issues every flash read at op start, so
+//!   block `k+1`'s DRAM staging arrives at the DRAM port before block
+//!   `k`'s PE store does; the store fits in the idle gap in front of
+//!   the staging transfer instead of queueing behind it;
+//! - parallel PE streams and batched GETs expand per-worker / per-key
+//!   chains one after another that overlap in simulated time;
+//! - queued commands touch the ARM core at op start (memtable probe)
+//!   and again at PE configuration, so command N+1's probe must be able
+//!   to run before command N's later configuration write.
+//!
+//! A strict `max(arrival, busy_until)` conveyor would idle the resource
+//! in each of those gaps.
 
 use crate::SimNs;
 use std::collections::VecDeque;
@@ -36,7 +34,7 @@ use std::collections::VecDeque;
 /// into gaps nobody will reach and keeps memory bounded on long runs.
 const MAX_TRACKED_INTERVALS: usize = 512;
 
-/// A single first-come-first-served resource with a gap-aware timeline.
+/// A single resource with a gap-aware, first-fit timeline.
 #[derive(Debug, Clone, Default)]
 pub struct Server {
     /// Disjoint busy intervals `(start, end)`, sorted by start and
@@ -46,9 +44,6 @@ pub struct Server {
     floor: SimNs,
     /// Total busy time accumulated (for utilization reporting).
     busy_total: SimNs,
-    /// When set, jobs may start in idle gaps before later reservations;
-    /// when clear (default), the strict `busy_until` conveyor applies.
-    backfill: bool,
 }
 
 impl Server {
@@ -57,34 +52,23 @@ impl Server {
         Self::default()
     }
 
-    /// Switch between the strict conveyor (`false`, default) and
-    /// gap-aware backfill scheduling (`true`). Toggling is safe at any
-    /// point: existing reservations stay as they are.
-    pub fn set_backfill(&mut self, on: bool) {
-        self.backfill = on;
-    }
-
     /// Schedule a job arriving at `arrival` with the given service
     /// `duration`: the job starts at the first instant `>= arrival`
-    /// where the resource is continuously free for `duration` (in
-    /// backfill mode), or at `max(arrival, busy_until)` (strict mode).
+    /// where the resource is continuously free for `duration`.
     /// Returns `(start, finish)`.
     pub fn schedule(&mut self, arrival: SimNs, duration: SimNs) -> (SimNs, SimNs) {
         let mut start = arrival.max(self.floor);
-        let mut idx = self.reserved.len();
-        if self.backfill {
-            for (i, &(s, e)) in self.reserved.iter().enumerate() {
-                if e <= start {
-                    continue;
-                }
-                if start + duration <= s {
-                    idx = i;
-                    break;
-                }
-                start = start.max(e);
+        // The intervals are sorted and disjoint, so their ends are
+        // sorted too: skip every reservation over by `start` in
+        // O(log n), then walk forward only past those the job
+        // overlaps.
+        let mut idx = self.reserved.partition_point(|&(_, e)| e <= start);
+        while let Some(&(s, e)) = self.reserved.get(idx) {
+            if start + duration <= s {
+                break;
             }
-        } else {
-            start = start.max(self.available_at());
+            start = e;
+            idx += 1;
         }
         let finish = start + duration;
         self.insert_at(idx, start, finish);
@@ -114,12 +98,6 @@ impl Server {
             (false, true) => self.reserved[idx].0 = start,
             (false, false) => self.reserved.insert(idx, (start, finish)),
         }
-    }
-
-    /// Time after which the resource is free indefinitely (end of the
-    /// last reservation). Earlier idle gaps may still accept jobs.
-    pub fn available_at(&self) -> SimNs {
-        self.reserved.back().map_or(self.floor, |&(_, e)| e)
     }
 
     /// Total time this server has been busy.
@@ -162,23 +140,12 @@ impl BandwidthLink {
         (bytes * self.ps_per_byte).div_ceil(1000)
     }
 
-    /// Switch between strict conveyor and gap-aware backfill (see
-    /// [`Server::set_backfill`]).
-    pub fn set_backfill(&mut self, on: bool) {
-        self.server.set_backfill(on);
-    }
-
     /// Schedule a transfer of `bytes` arriving at `arrival`;
     /// returns `(start, finish)`.
     pub fn transfer(&mut self, arrival: SimNs, bytes: u64) -> (SimNs, SimNs) {
         self.bytes_total += bytes;
         let d = self.duration_for(bytes);
         self.server.schedule(arrival, d)
-    }
-
-    /// Time after which the link is free indefinitely.
-    pub fn available_at(&self) -> SimNs {
-        self.server.available_at()
     }
 
     /// Total bytes moved over this link.
@@ -200,6 +167,7 @@ impl BandwidthLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultRng;
 
     #[test]
     fn fcfs_back_to_back() {
@@ -211,17 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_never_backfills() {
-        let mut s = Server::new();
-        s.schedule(0, 15); // [0, 15)
-        s.schedule(100, 5); // [100, 105)
-        assert_eq!(s.schedule(16, 2), (105, 107), "conveyor ignores the gap");
-    }
-
-    #[test]
     fn backfill_uses_idle_gaps_between_reservations() {
         let mut s = Server::new();
-        s.set_backfill(true);
         s.schedule(0, 15); // [0, 15)
         s.schedule(100, 5); // [100, 105)
                             // A job arriving in the gap fits there instead of queueing
@@ -241,23 +200,125 @@ mod tests {
         }
         // Back-to-back jobs merge into one interval, so dense timelines
         // never hit the pruning cap.
-        assert_eq!(s.available_at(), 10 * MAX_TRACKED_INTERVALS as u64 * 10);
-        assert_eq!(s.schedule(3, 4), (s.available_at() - 4, s.available_at()));
+        let end = 10 * MAX_TRACKED_INTERVALS as u64 * 10;
+        assert_eq!(s.reserved.len(), 1);
+        assert_eq!(s.schedule(3, 4), (end, end + 4));
     }
 
     #[test]
     fn pruning_bounds_memory_and_stays_causal() {
         let mut s = Server::new();
-        s.set_backfill(true);
         // Sparse jobs (gaps never abut) force interval growth past the
         // cap; the oldest gaps become unusable but scheduling after the
         // horizon is unaffected.
         for i in 0..2 * MAX_TRACKED_INTERVALS as u64 {
             s.schedule(i * 100, 1);
         }
-        let tail = s.available_at();
+        assert_eq!(s.reserved.len(), MAX_TRACKED_INTERVALS);
+        let floor = s.floor;
+        assert!(floor > 50);
+        assert_eq!(s.schedule(50, 1), (floor, floor + 1), "pruned gaps are solid");
+        let tail = s.reserved.back().map_or(s.floor, |&(_, e)| e);
         let (start, finish) = s.schedule(tail + 50, 1);
         assert_eq!((start, finish), (tail + 50, tail + 51));
+    }
+
+    /// Brute-force first fit: tries every candidate start (the arrival
+    /// and every reservation end after it) in order against every
+    /// reservation, then re-sorts and re-coalesces the whole list. Same
+    /// placement rule and pruning floor as [`Server`], none of its
+    /// index arithmetic.
+    #[derive(Default)]
+    struct Reference {
+        reserved: Vec<(SimNs, SimNs)>,
+        floor: SimNs,
+        busy_total: SimNs,
+    }
+
+    impl Reference {
+        fn schedule(&mut self, arrival: SimNs, duration: SimNs) -> (SimNs, SimNs) {
+            let lo = arrival.max(self.floor);
+            let mut candidates: Vec<SimNs> =
+                self.reserved.iter().map(|&(_, e)| e).filter(|&e| e > lo).collect();
+            candidates.insert(0, lo);
+            let fits = |c: SimNs| self.reserved.iter().all(|&(s, e)| c + duration <= s || e <= c);
+            let start = candidates.into_iter().find(|&c| fits(c)).expect("the tail always fits");
+            let finish = start + duration;
+            if duration > 0 {
+                self.reserved.push((start, finish));
+                self.reserved.sort_unstable();
+                let mut merged: Vec<(SimNs, SimNs)> = Vec::new();
+                for &(s, e) in &self.reserved {
+                    match merged.last_mut() {
+                        Some(last) if last.1 == s => last.1 = e,
+                        _ => merged.push((s, e)),
+                    }
+                }
+                self.reserved = merged;
+            }
+            while self.reserved.len() > MAX_TRACKED_INTERVALS {
+                self.floor = self.reserved.remove(0).1;
+            }
+            self.busy_total += duration;
+            (start, finish)
+        }
+    }
+
+    /// Seeded property: `schedule` equals the brute-force reference job
+    /// for job — placement, interval list, floor and busy total — over
+    /// non-monotone arrivals, zero-length jobs, gap-filling jobs that
+    /// coalesce both neighbours, and runs long enough to prune past the
+    /// interval cap.
+    #[test]
+    fn prop_schedule_matches_first_fit_reference() {
+        let (mut backfilled, mut zero, mut bridged, mut pruned) = (0, 0, 0, 0);
+        for seed in 0..24u64 {
+            let mut rng = FaultRng::stream(seed, 0x5e7);
+            let mut server = Server::new();
+            let mut model = Reference::default();
+            // Every eighth run is long and sparse enough to outgrow
+            // the interval cap; the rest are dense and gap-heavy.
+            let (jobs, step) = if seed % 8 == 0 { (3_000, 200) } else { (300, 50) };
+            let mut cursor: SimNs = 0;
+            for job in 0..jobs {
+                cursor += rng.gen_u64(step);
+                // Arrivals wander up to 400 ns behind the cursor, so
+                // later jobs often arrive before earlier reservations.
+                let mut arrival = cursor.saturating_sub(rng.gen_u64(400));
+                let mut duration = match rng.gen_u64(8) {
+                    0 => 0,
+                    _ => 1 + rng.gen_u64(40),
+                };
+                // Every fourth job (when a gap exists) exactly fills
+                // the gap after a random reservation.
+                if rng.gen_u64(4) == 0 && model.reserved.len() >= 2 {
+                    let i = rng.gen_u64(model.reserved.len() as u64 - 1) as usize;
+                    arrival = model.reserved[i].1;
+                    duration = model.reserved[i + 1].0 - arrival;
+                }
+                let tail = model.reserved.last().map_or(0, |&(_, e)| e);
+                let before = model.reserved.len();
+                let got = server.schedule(arrival, duration);
+                let want = model.schedule(arrival, duration);
+                assert_eq!(got, want, "seed {seed} job {job}: arrival {arrival} +{duration}");
+                assert_eq!(
+                    server.reserved.iter().copied().collect::<Vec<_>>(),
+                    model.reserved,
+                    "seed {seed} job {job}: interval lists diverge"
+                );
+                assert_eq!(server.floor, model.floor, "seed {seed} job {job}");
+                assert_eq!(server.busy_total(), model.busy_total, "seed {seed} job {job}");
+                assert!(got.0 >= arrival, "no job starts before it arrives");
+                zero += usize::from(duration == 0);
+                backfilled += usize::from(duration > 0 && got.1 <= tail);
+                bridged += usize::from(duration > 0 && model.reserved.len() + 1 == before);
+            }
+            pruned += usize::from(model.floor > 0);
+        }
+        assert!(backfilled > 100, "only {backfilled} jobs landed in gaps");
+        assert!(zero > 100, "only {zero} zero-length jobs");
+        assert!(bridged > 100, "only {bridged} jobs coalesced both neighbours");
+        assert!(pruned >= 3, "only {pruned} runs pruned past the interval cap");
     }
 
     #[test]

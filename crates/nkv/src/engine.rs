@@ -20,13 +20,15 @@
 //! *strictly serially* — block `k+1` is issued only once block `k` is
 //! consumed — so the streams model bounded per-worker staging rather
 //! than the serial path's idealized issue-everything-at-start firmware
-//! loop. The worker chains overlap in simulated time on the shared
-//! timelines (flash controllers, DRAM port, ARM), which therefore run
-//! in gap-aware backfill mode for the duration of the block phase
-//! ([`cosmos_sim::CosmosPlatform::set_parallel_dispatch`]). Results
-//! merge deterministically in global (component, block) order before
-//! the shared reconciliation pass, so a parallel scan returns exactly
-//! the serial plan's bytes.
+//! loop. That bound costs time: the serial dispatch keeps every flash
+//! read in flight at once and finishes ahead of every stream count the
+//! benchmarks sweep. The worker chains are expanded one after another
+//! in host order and overlap in simulated time on the shared timelines
+//! (flash controllers, DRAM port, ARM); every timeline is gap-aware
+//! (`cosmos_sim::Server`), so a later chain's job fits in front of an
+//! earlier chain's later reservation. Results merge deterministically
+//! in global (component, block) order before the shared reconciliation
+//! pass, so a parallel scan returns exactly the serial plan's bytes.
 
 use crate::error::{NkvError, NkvResult};
 use crate::exec::{DramBus, HealthCounters, ResilienceConfig, SimReport, TableExec};
@@ -569,25 +571,9 @@ fn run_parallel_scan_blocks(
         let ch = ssts[si].blocks[bi].pages.first().map_or(0, |p| p.channel);
         streams[worker_for_channel(ch, channels, workers)].push(j);
     }
-    // The worker chains are expanded sequentially in host order but
-    // overlap in simulated time, so shared timelines (and the per-PE
-    // servers) must accept out-of-order arrivals. A queue run already
-    // owns backfill mode; restore only when we turned it on.
-    let in_queue_run = platform.queues().is_some();
-    platform.set_parallel_dispatch(true);
-    for s in &mut exec.pe_servers {
-        s.set_backfill(true);
-    }
-    let res = parallel_scan_streams(
+    let (outs, op_end) = parallel_scan_streams(
         platform, exec, plan, all_rules, ssts, start, &jobs, &streams, report,
-    );
-    if !in_queue_run {
-        platform.set_parallel_dispatch(false);
-        for s in &mut exec.pe_servers {
-            s.set_backfill(false);
-        }
-    }
-    let (outs, op_end) = res?;
+    )?;
     for (j, out) in outs.iter().enumerate() {
         let (rank, _, _) = jobs[j];
         let before = results.len();
@@ -1174,14 +1160,6 @@ pub(crate) fn run_batched_get(
     platform.trace_nvme(nv_start, dma_done - nv_start, desc.dma_bytes() as u64);
     let (_, t_start) = platform.arm.schedule(dma_done, timing::ARM_BATCH_HEADER_PARSE_NS);
 
-    // Per-key chains overlap on the shared timelines; a queue run
-    // already owns backfill mode, so restore only when we turned it on.
-    let in_queue_run = platform.queues().is_some();
-    platform.set_parallel_dispatch(true);
-    for s in &mut exec.pe_servers {
-        s.set_backfill(true);
-    }
-
     let mut shared = BatchShared::default();
     let mut batch_configured = false;
     let mut results = Vec::with_capacity(keys.len());
@@ -1224,12 +1202,6 @@ pub(crate) fn run_batched_get(
         }
     }
 
-    if !in_queue_run {
-        platform.set_parallel_dispatch(false);
-        for s in &mut exec.pe_servers {
-            s.set_backfill(false);
-        }
-    }
     report.sim_ns = last_done.saturating_sub(now);
     Ok((results, dones, report))
 }

@@ -195,6 +195,8 @@ impl TableExec {
             aggregates: self.aggregates.clone(),
             identity_transform: self.processor.identity_transform(),
             eq_code: self.ops.code(CmpOp::Eq),
+            ge_code: self.ops.code(CmpOp::Ge),
+            lt_code: self.ops.code(CmpOp::Lt),
         }
     }
 }

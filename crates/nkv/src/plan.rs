@@ -91,6 +91,12 @@ pub struct PlanCaps {
     /// The PEs' `eq` operator encoding (`None` when the PEs were
     /// generated without `eq`, which leaves GETs software-only).
     pub eq_code: Option<u32>,
+    /// The table's `ge` operator encoding, a range scan's lower bound.
+    /// Every backend evaluates rules through the table's operator
+    /// table, so without `ge` and `lt` no backend can run a range scan.
+    pub ge_code: Option<u32>,
+    /// The table's `lt` operator encoding, a range scan's upper bound.
+    pub lt_code: Option<u32>,
 }
 
 /// The physical operator at the root of a plan.
@@ -161,10 +167,17 @@ impl PhysicalPlan {
             }
             LogicalOp::Scan { rules } => Self::lower_scan(rules, backend, caps, table),
             LogicalOp::RangeScan { lo, hi } => {
-                // The paper's 2-stage showcase: `lo <= key < hi` on lane 0.
+                // The paper's 2-stage showcase: `lo <= key < hi` on lane 0,
+                // in the table's own operator encoding.
+                let (Some(ge), Some(lt)) = (caps.ge_code, caps.lt_code) else {
+                    return Err(NkvError::Config(format!(
+                        "table `{table}` was generated without the `ge` and `lt` operators, \
+                         so no backend can evaluate a range scan"
+                    )));
+                };
                 let rules = vec![
-                    FilterRule { lane: 0, op_code: 4 /* ge */, value: *lo },
-                    FilterRule { lane: 0, op_code: 5 /* lt */, value: *hi },
+                    FilterRule { lane: 0, op_code: ge, value: *lo },
+                    FilterRule { lane: 0, op_code: lt, value: *hi },
                 ];
                 Self::lower_scan(&rules, backend, caps, table)
             }
@@ -401,6 +414,8 @@ mod tests {
             aggregates: vec![ndp_ir::AggOp::Sum],
             identity_transform: identity,
             eq_code: Some(2),
+            ge_code: Some(4),
+            lt_code: Some(5),
         }
     }
 
@@ -546,5 +561,23 @@ mod tests {
         assert_eq!(p.pushed.len(), 2);
         assert_eq!(p.pushed[0], rule(0, 4, 100));
         assert_eq!(p.pushed[1], rule(0, 5, 200));
+    }
+
+    #[test]
+    fn range_scans_push_the_tables_own_codes_or_are_refused() {
+        let mut c = caps(2, true, 0);
+        (c.ge_code, c.lt_code) = (Some(1), Some(0));
+        let op = LogicalOp::RangeScan { lo: 100, hi: 200 };
+        for backend in [Backend::Software, Backend::Hardware, Backend::Hybrid] {
+            let p = PhysicalPlan::lower(&op, backend, &c, "t").unwrap();
+            assert_eq!(p.pushed, vec![rule(0, 1, 100), rule(0, 0, 200)]);
+        }
+        for missing in [(None, Some(0)), (Some(1), None)] {
+            (c.ge_code, c.lt_code) = missing;
+            for backend in [Backend::Software, Backend::Hardware, Backend::Hybrid] {
+                let err = PhysicalPlan::lower(&op, backend, &c, "t").unwrap_err();
+                assert!(matches!(&err, NkvError::Config(m) if m.contains("`ge`")), "{err:?}");
+            }
+        }
     }
 }

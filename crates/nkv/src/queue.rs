@@ -7,7 +7,7 @@
 //! module adds it: [`NkvDb::run_queued`] admits a *window* of in-flight
 //! GET/SCAN/PUT commands per client through the platform's NVMe queue
 //! pairs ([`cosmos_sim::queue`]) and dispatches them onto the shared
-//! FCFS resource timelines (flash channels/LUNs, PE pool, ARM, DRAM
+//! gap-aware resource timelines (flash channels/LUNs, PE pool, ARM, DRAM
 //! port, NVMe link). Commands that touch disjoint resources overlap and
 //! may complete out of submission order; commands that contend queue up
 //! exactly as the hardware would.
@@ -16,9 +16,10 @@
 //! client starts with `depth` commands outstanding; when one completes,
 //! the client submits its next. Dispatch order is a deterministic
 //! min-heap on `(submit_ns, client, seq)`, and because each command is
-//! expanded on the timeline the moment it is popped, submission times
-//! seen by the FCFS servers are monotonically non-decreasing — the run
-//! is exactly reproducible for a given database state and script set.
+//! expanded on the timeline the moment it is popped, commands are
+//! expanded in non-decreasing submission order (the jobs they place on
+//! one server need not be; see `cosmos_sim::Server`) — the run is
+//! exactly reproducible for a given database state and script set.
 //!
 //! With one client at depth 1 the engine degenerates to the serial
 //! path: every command begins after the previous one fully completed,
@@ -209,21 +210,9 @@ impl NkvDb {
             return Err(NkvError::UnknownTable(table.into()));
         }
         self.platform.enable_queues(cfg.queues);
-        self.set_pe_backfill(table, true);
         let out = self.run_queued_inner(table, scripts, cfg);
-        self.set_pe_backfill(table, false);
         self.platform.disable_queues();
         out
-    }
-
-    /// Match the table's PE pool to the platform's scheduling mode for
-    /// the duration of a queued run (see
-    /// `cosmos_sim::Server::set_backfill`).
-    fn set_pe_backfill(&mut self, table: &str, on: bool) {
-        let t = self.tables.get_mut(table).expect("validated by run_queued");
-        for pe in &mut t.exec.pe_servers {
-            pe.set_backfill(on);
-        }
     }
 
     fn run_queued_inner(

@@ -3,7 +3,8 @@
 # (including the golden-artifact snapshots and the plan-,
 # cache-equivalence, cluster-chaos, batched-GET and adaptive-planner
 # differential suites), the register-conservation suite and its
-# no-hand-copied-counts grep, a perfbench build + smoke run, the
+# no-hand-copied-counts grep, a grep that no scheduling-mode switch
+# returns to the simulator, a perfbench build + smoke run, the
 # observability example (+ trace-JSON
 # validity), a fast-mode repro run
 # diffed against the committed reference output, a fixed-seed loadgen
@@ -76,6 +77,15 @@ echo "==> no hand-copied register counts"
 # constants restating them must not come back.
 if grep -rn 'CFG_WRITES\|CFG_READS' crates/; then
     echo "error: hand-copied register counts (CFG_WRITES/CFG_READS) under crates/" >&2
+    exit 1
+fi
+
+echo "==> one resource timeline: no scheduling-mode switch"
+# Every simulated server schedules gap-aware with one rule
+# (cosmos_sim::Server); setters that switch timelines to a strict
+# conveyor must not come back.
+if grep -rn 'set_backfill\|set_parallel_dispatch' crates/; then
+    echo "error: scheduling-mode setters (set_backfill/set_parallel_dispatch) under crates/" >&2
     exit 1
 fi
 
